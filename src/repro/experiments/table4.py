@@ -7,11 +7,11 @@ lane-invasion rate, and the mean/std Time-To-Hazard.
 """
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import RunResult
-from repro.resilience.checkpoint import checkpoint_slug
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.supervisor import SupervisionPolicy
@@ -87,48 +87,84 @@ def run_table4(
 ) -> Table4Result:
     """Run the Table IV experiment grid and aggregate it.
 
+    The whole table is one task list (each strategy's campaign cells in
+    row order) run by a single dispatch, so one pool serves every
+    strategy and a lockstep batch mixes runs of different strategies;
+    the results are sliced back per strategy and equal a sequential run.
+
     Args:
         scale: Grid dimensions (defaults to the laptop-sized grid; use
             :meth:`ExperimentScale.full` for the paper-sized grid).
-        strategies: Strategy classes to compare.
+        strategies: Strategy classes to compare.  With ``workers > 1``
+            their instances are pickled to the pool.
         attack_types: Attack types included in the grid.
-        workers: Worker processes per campaign (> 1 enables the parallel
-            executor; results are identical to a sequential run).
+        workers: Worker processes for the table (> 1 enables the
+            parallel executor; results are identical to a sequential run).
         batch_size: Lockstep batch width per worker (> 1 steps that many
             runs through the kernel together; identical results, higher
             per-core throughput).
-        supervision: Fault-tolerance policy for each campaign
-            (:class:`repro.resilience.SupervisionPolicy`).
-        checkpoint_dir: Directory for per-strategy crash-safe
-            checkpoints; an interrupted table run resumed with the same
-            directory pays only for unfinished runs.
-        telemetry: Optional :class:`~repro.telemetry.Telemetry` handle;
-            all per-strategy campaigns record into the same registry.
+        supervision: Fault-tolerance policy for the table's dispatch
+            (:class:`repro.resilience.SupervisionPolicy`); a quarantined
+            run is left out of its own strategy's runs only.  Supervised
+            chunks are sized for the largest strategy alone, as when
+            each strategy ran as its own campaign.
+        checkpoint_dir: Directory for the table's crash-safe checkpoint
+            (one ``table4.json``); an interrupted table run resumed with
+            the same directory pays only for unfinished runs.  Implies
+            supervision.
+        telemetry: Optional :class:`~repro.telemetry.Telemetry` handle
+            recording every run of the table under one ``campaign`` span.
         cache: Optional shared run cache
             (:class:`repro.service.RunCache`); a warm rerun of the same
             grid pays for zero simulations and returns bit-identical
             results.
     """
     scale = scale or ExperimentScale.from_environment()
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-    result = Table4Result()
-    for strategy_cls in strategies:
-        config = _campaign_for(strategy_cls, scale, attack_types)
-        campaign = Campaign(config, strategy_factory=strategy_cls)
-        checkpoint_path = None
-        if checkpoint_dir is not None:
-            checkpoint_path = os.path.join(
-                checkpoint_dir, f"table4_{checkpoint_slug(strategy_cls.name)}.json"
-            )
-        runs = campaign.run(
-            workers=workers,
-            batch_size=batch_size,
-            supervision=supervision,
-            checkpoint_path=checkpoint_path,
-            telemetry=telemetry,
-            cache=cache,
+    campaigns = [
+        Campaign(_campaign_for(strategy_cls, scale, attack_types), strategy_factory=strategy_cls)
+        for strategy_cls in strategies
+    ]
+    tasks = [campaign.cell_task(cell) for campaign in campaigns for cell in campaign.cells()]
+    options = dict(workers=workers, batch_size=batch_size, telemetry=telemetry, cache=cache)
+    supervised = supervision is not None or checkpoint_dir is not None
+    span = nullcontext()
+    if telemetry is not None:
+        span = telemetry.span(
+            "campaign", mode="supervised" if supervised else "tasks", runs=len(tasks)
         )
-        result.runs[strategy_cls.name] = runs
-        result.summaries.append(summarize_strategy(strategy_cls.name, runs))
+    with span:
+        if supervised:
+            from repro.injection.executor import resolve_chunk_size
+            from repro.resilience.supervisor import run_supervised_simulations
+
+            checkpoint_path = None
+            if checkpoint_dir is not None:
+                os.makedirs(checkpoint_dir, exist_ok=True)
+                checkpoint_path = os.path.join(checkpoint_dir, "table4.json")
+            # Chunks bound what a crash re-pays (the checkpoint flushes
+            # once per chunk) and what a poison run's retries cover, so
+            # they stay as small as the largest strategy's own dispatch.
+            largest = max((campaign.config.total_runs for campaign in campaigns), default=0)
+            chunk_size = resolve_chunk_size(largest, max(1, workers or 1), batch_size)
+            # Aligned to ``tasks``, with None where a run was quarantined.
+            aligned = run_supervised_simulations(
+                tasks,
+                policy=supervision,
+                chunk_size=chunk_size,
+                checkpoint_path=checkpoint_path,
+                **options,
+            ).results
+        else:
+            from repro.injection.executor import run_simulations
+
+            aligned = run_simulations(tasks, **options)
+    result = Table4Result()
+    offset = 0
+    for campaign in campaigns:
+        name = campaign.config.strategy_name
+        end = offset + campaign.config.total_runs
+        runs = [run for run in aligned[offset:end] if run is not None]
+        offset = end
+        result.runs[name] = runs
+        result.summaries.append(summarize_strategy(name, runs))
     return result

@@ -12,25 +12,25 @@ this property.
 :class:`ParallelCampaignRunner` fans the grid out over a process pool
 (worker count, chunked cell dispatch, ordered result collection and
 progress callbacks), and :func:`run_simulations` offers the same fan-out
-for ad-hoc lists of ``(SimulationConfig, strategy)`` pairs, as used by the
-Figure 8 parameter-space sweep.
+for lists of ``(SimulationConfig, strategy)`` pairs, as used by the whole
+Table IV grid and the Figure 8 parameter-space sweep.
 
 Performance
 -----------
 
 Workers are plain OS processes (``concurrent.futures``), so campaign
 throughput scales near-linearly with physical cores until memory
-bandwidth saturates; the chunked dispatch (default: ~4 chunks per worker)
-keeps inter-process traffic to a few pickled ``RunResult`` lists per
-worker instead of one round-trip per run.  Combined with the compiled CAN
-codec plans (see :mod:`repro.can.dbc`), the per-PR trajectory is recorded
-in ``BENCH_throughput.json`` by ``benchmarks/test_bench_throughput.py``:
-the seed revision ran one simulation at ~5.1k steps/s and the reduced
-benchmark campaign at ~5.1 runs/s sequentially; this revision reaches
-~12.4k steps/s (2.4x) single-run and ~10.6 runs/s (2.1x) sequential
-campaign throughput on the same single-CPU container, and parallel
-campaign throughput is the sequential rate times the worker count on
-unloaded cores (single-core containers see only the codec gain).
+bandwidth saturates.  Every pool cuts its work by one rule,
+:func:`resolve_chunk_size`: unbatched dispatch sends ~4 chunks per
+worker, which keeps inter-process traffic to a few pickled ``RunResult``
+lists per worker instead of one round-trip per run; batched dispatch
+sends as many chunks per worker as full batches fit (1 to 4), so each
+worker's lockstep batch runs full while its chunk lasts.  The benchmark
+(``perfbench/run.py``) measures the result end to end (``runs_per_s`` on
+``paper-campaign``) and per layer: ``kernel.batch.rows_per_cycle`` and
+``kernel.dense.row_share`` show how full the batches run,
+``injection.pool.busy_share`` and ``injection.pool.overhead_s`` what the
+pool costs.
 
 On start-methods without ``fork`` the campaign configuration and the
 strategy factory are pickled to the workers; with ``fork`` they are
@@ -76,9 +76,37 @@ _WORKER_TELEMETRY_CONFIG: Optional[TelemetryConfig] = None
 _WORKER_RECORDER: Optional["FlightRecorderConfig"] = None
 
 
+#: Most chunks a dispatch hands each worker (see :func:`resolve_chunk_size`).
+_CHUNKS_PER_WORKER = 4
+
+
 def default_worker_count() -> int:
     """Number of workers used when ``workers`` is not specified."""
     return max(1, os.cpu_count() or 1)
+
+
+def resolve_chunk_size(
+    total: int,
+    workers: int,
+    batch_size: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+) -> int:
+    """Tasks per dispatched chunk: the one chunking rule of every pool.
+
+    An explicit ``chunk_size`` wins.  Otherwise unbatched dispatch cuts
+    the work into ~4 chunks per worker, so stragglers rebalance while the
+    per-chunk dispatch cost stays negligible.  A worker steps each chunk
+    through its own lockstep batch, so batched dispatch (``batch_size >
+    1``) uses as many chunks per worker as full batches fit, between 1
+    and 4: each chunk holds a full batch whenever the work allows (100
+    tasks on 2 workers at batch 16 give chunks of 17).
+    """
+    if chunk_size is not None:
+        return max(1, chunk_size)
+    per_worker = _CHUNKS_PER_WORKER
+    if batch_size is not None and batch_size > 1:
+        per_worker = min(_CHUNKS_PER_WORKER, max(1, total // (workers * batch_size)))
+    return max(1, -(-total // (workers * per_worker)))
 
 
 def _chunked(items: Sequence, chunk_size: int) -> List[Sequence]:
@@ -263,15 +291,15 @@ class ParallelCampaignRunner:
     Args:
         campaign: The campaign to run.
         workers: Worker process count (default: one per CPU).
-        chunk_size: Cells per dispatched chunk (default: the grid split
-            into ~4 chunks per worker, so stragglers rebalance while the
-            per-chunk dispatch overhead stays negligible).
+        chunk_size: Cells per dispatched chunk (default:
+            :func:`resolve_chunk_size`).
         batch_size: Lockstep batch width *within* each worker (> 1 steps
             that many of a chunk's runs through the kernel together; see
             :class:`repro.kernel.BatchRunner`).  Orthogonal to ``workers``
             — the pool scales across cores, the batch amortises per-step
-            dispatch within one core.  Chunks are capped at ``~total /
-            (workers * 4)`` cells, which also caps the effective batch.
+            dispatch within one core.  A chunk is what one worker
+            batches, so the default chunks hold a full batch whenever
+            the grid has ``workers * batch_size`` cells or more.
         supervision: Fault-tolerance policy
             (:class:`repro.resilience.SupervisionPolicy`).  When given,
             dispatch goes through the supervised executor: per-chunk
@@ -308,11 +336,6 @@ class ParallelCampaignRunner:
         self.checkpoint_path = checkpoint_path
         self.telemetry = telemetry
         self.recorder = recorder
-
-    def _resolve_chunk_size(self, total: int) -> int:
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        return max(1, -(-total // (self.workers * 4)))
 
     def run(self, progress: Optional[ProgressCallback] = None) -> List[RunResult]:
         """Run the whole campaign; results are in sequential cell order.
@@ -373,7 +396,8 @@ class ParallelCampaignRunner:
                     progress(index, total)
             return results
 
-        chunks = list(enumerate(_chunked(cells, self._resolve_chunk_size(total))))
+        chunk_size = resolve_chunk_size(total, self.workers, self.batch_size, self.chunk_size)
+        chunks = list(enumerate(_chunked(cells, chunk_size)))
         context, forked = _pool_context()
         worker_telemetry = telemetry.worker_config() if telemetry is not None else None
         if forked:
@@ -417,8 +441,8 @@ def run_simulations(
     """Run independent ``(SimulationConfig, strategy)`` pairs, optionally
     in parallel and/or lockstep-batched, preserving input order.
 
-    Used by the Figure 8 parameter-space sweep, which is a plain list of
-    simulations rather than a campaign grid.  Unlike the campaign runner
+    Used by the Table IV grid (every strategy's cells in one list) and
+    the Figure 8 parameter-space sweep.  Unlike the campaign runner
     (whose strategy *factory* is inherited by forked workers), the tasks
     themselves are pickled to the pool, so strategy objects must be
     picklable whenever more than one task runs with ``workers > 1``.
@@ -524,8 +548,7 @@ def run_simulations(
                 progress(index, total)
         return results
 
-    if chunk_size is None:
-        chunk_size = max(1, -(-total // (workers * 4)))
+    chunk_size = resolve_chunk_size(total, workers, batch_size, chunk_size)
     chunks = list(enumerate(_chunked(tasks, chunk_size)))
     context, _ = _pool_context()
     worker_telemetry = telemetry.worker_config() if telemetry is not None else None

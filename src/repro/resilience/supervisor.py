@@ -397,12 +397,6 @@ class SupervisedExecutor:
         if self.journal is not None:
             self.journal.emit(kind, level=level, **fields)
 
-    def resolve_chunk_size(self, total: int) -> int:
-        """~4 chunks per worker unless pinned (same rule as the plain pool)."""
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        return max(1, -(-total // (self.workers * 4)))
-
     # -- public entry points -------------------------------------------------
 
     def run_tasks(
@@ -460,8 +454,10 @@ class SupervisedExecutor:
         if not items:
             return SupervisedOutcome(results=[], report=report)
 
+        from repro.injection.executor import resolve_chunk_size
+
         entries = list(zip(indices, items))
-        chunk = self.resolve_chunk_size(len(entries))
+        chunk = resolve_chunk_size(len(entries), self.workers, self.batch_size, self.chunk_size)
         pending: Deque[_ChunkWork] = deque(
             _ChunkWork(entries[i: i + chunk]) for i in range(0, len(entries), chunk)
         )
@@ -495,6 +491,7 @@ class SupervisedExecutor:
 
                 if pool is None and pending:
                     pool = self._spawn_pool()
+                pool_broken = False
                 while pending and pool is not None:
                     work = pending.popleft()
                     use_batch = (
@@ -507,16 +504,23 @@ class SupervisedExecutor:
                         )
                         else None
                     )
-                    future = pool.submit(
-                        _run_supervised_chunk, (mode, use_batch, work.entries)
-                    )
+                    try:
+                        future = pool.submit(
+                            _run_supervised_chunk, (mode, use_batch, work.entries)
+                        )
+                    except BrokenProcessPool:
+                        # A worker died after the last sweep: respawn below
+                        # and resubmit this chunk free of charge.
+                        pending.appendleft(work)
+                        pool_broken = True
+                        break
                     inflight[future] = work
                     deadlines[future] = (
                         None
                         if self.policy.chunk_timeout is None
                         else time.monotonic() + self.policy.chunk_timeout
                     )
-                if not inflight:
+                if not inflight and not pool_broken:
                     if delayed:
                         time.sleep(
                             max(0.0, min(at for at, _ in delayed) - time.monotonic())
@@ -526,7 +530,6 @@ class SupervisedExecutor:
                 done, _ = wait(
                     set(inflight), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
                 )
-                pool_broken = False
                 for future in done:
                     work = inflight.pop(future)
                     deadlines.pop(future)
@@ -910,7 +913,12 @@ def _run_with_checkpoint(
         journal=journal,
     )
     loaded = len(done)
-    flush_every = executor.resolve_chunk_size(max(1, len(pending_indices)))
+    from repro.injection.executor import resolve_chunk_size
+
+    # One flush per chunk's worth of fresh results.
+    flush_every = resolve_chunk_size(
+        max(1, len(pending_indices)), executor.workers, batch_size, chunk_size
+    )
     fresh_since_flush = 0
 
     def hook(index: int, result: RunResult) -> None:

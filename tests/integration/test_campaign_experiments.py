@@ -1,13 +1,39 @@
 """Integration tests for the campaign runner and the experiment harness."""
 
+import os
+
+import pytest
 
 from repro.core.attack_types import AttackType
+from repro.core.strategies import ContextAwareStrategy, NoAttackStrategy
 from repro.experiments import ExperimentScale, run_figure7, run_figure8, run_table4, run_table5
 from repro.experiments.table4 import TABLE4_STRATEGIES
-from repro.injection.campaign import Campaign, CampaignConfig
+from repro.injection.campaign import ALL_ATTACK_TYPES, Campaign, CampaignConfig
+from repro.injection.executor import resolve_chunk_size
+from repro.resilience import SupervisionPolicy
+from repro.service import RunCache
+from repro.telemetry import Telemetry, TelemetryConfig
 
 
 SMOKE = ExperimentScale.smoke()
+
+
+class _PoisonedCellStrategy(ContextAwareStrategy):
+    """Context-Aware under its own name, dying on its Deceleration cell
+    (module level, so it pickles to pool workers)."""
+
+    name = "Poisoned-Cell"
+
+    def should_activate(self, time, spec, matches):
+        if spec.attack_type is AttackType.DECELERATION:
+            raise RuntimeError("poisoned cell")
+        return super().should_activate(time, spec, matches)
+
+
+def _summary_bits(result):
+    """Table IV rows compared exactly: ``repr`` round-trips every float
+    and, unlike ``==``, equates the NaN TTH fields of hazard-free rows."""
+    return [repr(summary) for summary in result.summaries]
 
 
 class TestCampaign:
@@ -58,12 +84,66 @@ class TestCampaign:
 
 
 class TestExperimentHarness:
-    def test_table4_smoke_grid(self):
-        result = run_table4(SMOKE, strategies=TABLE4_STRATEGIES[-2:])  # Random-DUR + Context-Aware
-        assert len(result.summaries) == 2
+    @pytest.fixture(scope="class")
+    def sequential_table4(self):
+        return run_table4(SMOKE)
+
+    @pytest.mark.parametrize("dispatch", ["sequential", "parallel-batched-cached"])
+    def test_table4_smoke_grid(self, dispatch, sequential_table4, tmp_path):
+        result = sequential_table4
+        if dispatch != "sequential":
+            # The whole table is one dispatch: 25 runs cut into two chunks
+            # of 13 and 12, so batches mix strategies (and the attack-free
+            # run) without changing a bit of any result.
+            result = run_table4(
+                SMOKE, workers=2, batch_size=8, cache=RunCache(str(tmp_path / "cache"))
+            )
+        assert len(result.summaries) == len(TABLE4_STRATEGIES)
         context_aware = result.summary_for("Context-Aware")
         assert context_aware.runs == 6  # 1 scenario x 1 distance x 6 attack types x 1 rep
         assert "Context-Aware" in result.format()
+        assert result.runs == sequential_table4.runs
+        assert _summary_bits(result) == _summary_bits(sequential_table4)
+
+    def test_table4_quarantine_stays_in_its_strategy_and_resumes(
+        self, sequential_table4, tmp_path
+    ):
+        strategies = (NoAttackStrategy, _PoisonedCellStrategy, ContextAwareStrategy)
+
+        def supervised_table(telemetry=None):
+            return run_table4(
+                SMOKE,
+                strategies=strategies,
+                workers=2,
+                batch_size=4,
+                supervision=SupervisionPolicy(backoff_base=0.01, max_chunk_attempts=2),
+                checkpoint_dir=str(tmp_path),
+                telemetry=telemetry,
+            )
+
+        telemetry = Telemetry(TelemetryConfig(trace=True))
+        result = supervised_table(telemetry)
+        # The poisoned chunk is as small as the largest strategy's own
+        # dispatch would cut it (6 runs on 2 workers at batch 4: 3), not
+        # a share of the whole 13-run table.
+        bisected = [
+            args["tasks"] for name, _, _, _, args in telemetry.tracer
+            if name == "supervisor.bisect"
+        ]
+        assert max(bisected) == resolve_chunk_size(len(ALL_ATTACK_TYPES), 2, 4) == 3
+        poisoned = result.runs[_PoisonedCellStrategy.name]
+        assert [run.attack_type for run in poisoned] == [
+            attack.value for attack in ALL_ATTACK_TYPES if attack is not AttackType.DECELERATION
+        ]
+        assert result.summary_for(_PoisonedCellStrategy.name).runs == len(ALL_ATTACK_TYPES) - 1
+        for name in (NoAttackStrategy.name, ContextAwareStrategy.name):
+            assert result.runs[name] == sequential_table4.runs[name]
+            assert repr(result.summary_for(name)) == repr(sequential_table4.summary_for(name))
+        assert os.listdir(tmp_path) == ["table4.json"]
+
+        resumed = supervised_table()
+        assert resumed.runs == result.runs
+        assert _summary_bits(resumed) == _summary_bits(result)
 
     def test_table5_smoke_grid(self):
         result = run_table5(SMOKE)

@@ -12,6 +12,7 @@ held to.
 """
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.resilience import (
     chaos_policy,
     run_supervised_simulations,
 )
+from repro.resilience.supervisor import SupervisedExecutor
 
 #: Tiny but non-trivial grid: 2 distances x 2 attacks x 2 reps = 8 runs.
 CAMPAIGN_CONFIG = CampaignConfig(
@@ -133,6 +135,41 @@ class TestFaultRecovery:
         )
         assert outcome.report.degraded_to_sequential
         assert _dicts(outcome.completed_results) == baseline
+
+    def test_submit_into_a_pool_broken_since_the_last_sweep(
+        self, campaign, baseline, monkeypatch
+    ):
+        """A worker that dies between two sweeps makes the next
+        ``submit`` raise; the supervisor respawns instead of aborting."""
+        spawn = SupervisedExecutor._spawn_pool
+        spawned = []
+
+        def spawn_first_broken(executor):
+            pool = spawn(executor)
+            if not spawned:
+                pool = _BrokenSinceLastSweep(pool)
+            spawned.append(pool)
+            return pool
+
+        monkeypatch.setattr(SupervisedExecutor, "_spawn_pool", spawn_first_broken)
+        outcome = campaign.run_resilient(workers=2, supervision=FAST)
+        assert _dicts(outcome.completed_results) == baseline
+        assert outcome.report.pool_respawns == 1
+        assert outcome.report.retries == 0
+
+
+class _BrokenSinceLastSweep:
+    """A process pool whose worker died after the supervisor's last
+    sweep: ``submit`` raises, as ``ProcessPoolExecutor.submit`` then does."""
+
+    def __init__(self, pool):
+        self._pool = pool
+
+    def submit(self, *args, **kwargs):
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+    def __getattr__(self, name):
+        return getattr(self._pool, name)
 
 
 class TestQuarantine:

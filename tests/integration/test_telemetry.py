@@ -286,3 +286,20 @@ class TestExperimentEntryPoints:
             telemetry=telemetry,
         )
         assert telemetry.metrics.counter("runs.completed").value == 1
+
+    def test_run_table4_traces_the_table_as_one_campaign_span(self):
+        from repro.experiments import run_table4
+        from repro.experiments.scale import ExperimentScale
+        from repro.experiments.table4 import ContextAwareStrategy, NoAttackStrategy
+
+        telemetry = Telemetry(TelemetryConfig(trace=True))
+        table = run_table4(
+            ExperimentScale.smoke(),
+            strategies=(NoAttackStrategy, ContextAwareStrategy),
+            attack_types=(AttackType.DECELERATION, AttackType.ACCELERATION),
+            telemetry=telemetry,
+        )
+        campaigns = [args for name, _, _, _, args in telemetry.tracer if name == "campaign"]
+        runs = sum(summary.runs for summary in table.summaries)
+        assert campaigns == [{"mode": "tasks", "runs": runs}]
+        assert runs == 3

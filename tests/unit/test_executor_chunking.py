@@ -3,11 +3,19 @@ checkpoint file format (atomicity, fingerprint validation)."""
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.metrics import RunResult
-from repro.injection.executor import ParallelCampaignRunner, _chunked, run_simulations
+from repro.injection import executor
+from repro.injection.executor import (
+    ParallelCampaignRunner,
+    _chunked,
+    resolve_chunk_size,
+    run_simulations,
+)
 from repro.resilience.checkpoint import (
     CAMPAIGN_CHECKPOINT_VERSION,
     CampaignCheckpoint,
@@ -16,6 +24,8 @@ from repro.resilience.checkpoint import (
     checkpoint_slug,
     fingerprint_strings,
 )
+from repro.resilience import supervisor
+from repro.resilience.supervisor import SupervisedExecutor
 
 
 class TestChunked:
@@ -36,24 +46,90 @@ class TestChunked:
 
 
 class TestResolveChunkSize:
-    def _runner(self, workers, chunk_size=None):
-        return ParallelCampaignRunner(campaign=None, workers=workers, chunk_size=chunk_size)
-
     def test_explicit_chunk_size_wins(self):
-        assert self._runner(workers=4, chunk_size=7)._resolve_chunk_size(1000) == 7
+        assert resolve_chunk_size(1000, 4, chunk_size=7) == 7
+        assert resolve_chunk_size(1000, 4, batch_size=16, chunk_size=7) == 7
 
     def test_explicit_chunk_size_clamped_to_one(self):
-        assert self._runner(workers=4, chunk_size=0)._resolve_chunk_size(1000) == 1
-        assert self._runner(workers=4, chunk_size=-3)._resolve_chunk_size(1000) == 1
+        assert resolve_chunk_size(1000, 4, chunk_size=0) == 1
+        assert resolve_chunk_size(1000, 4, chunk_size=-3) == 1
 
     def test_default_targets_four_chunks_per_worker(self):
         # 1000 cells on 4 workers -> ceil(1000 / 16) = 63 cells per chunk.
-        assert self._runner(workers=4)._resolve_chunk_size(1000) == 63
+        assert resolve_chunk_size(1000, 4) == 63
 
     def test_total_smaller_than_worker_fanout(self):
         # Never returns 0 even when the grid is tiny.
-        assert self._runner(workers=8)._resolve_chunk_size(1) == 1
-        assert self._runner(workers=8)._resolve_chunk_size(0) == 1
+        assert resolve_chunk_size(1, 8) == 1
+        assert resolve_chunk_size(0, 8) == 1
+        assert resolve_chunk_size(0, 8, batch_size=16) == 1
+
+    def test_batched_chunks_hold_a_full_batch(self):
+        # 100 tasks on 2 workers at batch 16: full batches, and still at
+        # least two chunks per worker for stragglers to rebalance.
+        size = resolve_chunk_size(100, 2, batch_size=16)
+        chunks = _chunked(list(range(100)), size)
+        assert all(len(chunk) >= 16 for chunk in chunks[:-1])
+        assert len(chunks) >= 2 * 2
+
+    def test_batched_small_grid_gets_one_chunk_per_worker(self):
+        # 24 tasks cannot fill a 16-wide batch per worker: one chunk each.
+        size = resolve_chunk_size(24, 2, batch_size=16)
+        assert len(_chunked(list(range(24)), size)) == 2
+
+    def test_batched_large_grid_keeps_four_chunks_per_worker(self):
+        # 1,440 tasks on 2 workers -> ceil(1440 / 8) = 180 per chunk.
+        assert resolve_chunk_size(1440, 2, batch_size=16) == 180
+
+    @pytest.mark.parametrize(
+        "total, workers, batch_size, chunk_size",
+        [(100, 2, 16, None), (24, 2, 16, None), (1440, 2, 16, None), (1000, 4, None, None),
+         (100, 2, 16, 7)],
+    )
+    def test_every_dispatcher_cuts_by_the_same_rule(
+        self, monkeypatch, total, workers, batch_size, chunk_size
+    ):
+        """The campaign runner, ``run_simulations`` and the supervised
+        executor hand out chunks of the sizes the one rule gives (the
+        pools are stubbed: only the chunking is under test)."""
+        size = resolve_chunk_size(total, workers, batch_size, chunk_size)
+        expected = [len(chunk) for chunk in _chunked(list(range(total)), size)]
+
+        dispatched = []
+        monkeypatch.setattr(
+            executor,
+            "_dispatch",
+            lambda worker_fn, chunks, *args, **kwargs: dispatched.append(
+                [len(chunk) for _, chunk in chunks]
+            ) or [],
+        )
+        grid = SimpleNamespace(cells=lambda: list(range(total)))
+        ParallelCampaignRunner(
+            grid, workers=workers, chunk_size=chunk_size, batch_size=batch_size
+        ).run()
+        run_simulations(
+            [(None, None)] * total,
+            workers=workers,
+            chunk_size=chunk_size,
+            batch_size=batch_size,
+        )
+        assert dispatched == [expected, expected]
+
+        submitted = []
+
+        def run_chunk(payload):
+            _, _, entries = payload
+            submitted.append(len(entries))
+            return [(index, _result(index)) for index, _ in entries]
+
+        monkeypatch.setattr(supervisor, "_run_supervised_chunk", run_chunk)
+        monkeypatch.setattr(
+            SupervisedExecutor, "_spawn_pool", lambda self: ThreadPoolExecutor(max_workers=1)
+        )
+        SupervisedExecutor(
+            workers=workers, chunk_size=chunk_size, batch_size=batch_size
+        ).run_tasks([(None, None)] * total)
+        assert submitted == expected
 
 
 def test_run_simulations_empty_task_list():
