@@ -20,25 +20,48 @@ all on the profile).
 
 With ``--batch N`` the workload becomes N attack-free runs through the
 lockstep batch executor instead of the two sequential runs, so the
-dense SoA column path is what lands on the profile; combined with
+batch kernel's columns land on the profile (the dense SoA columns from
+``DENSE_MIN_ACTIVE`` rows up, the fused codec tier below); combined with
 ``--json`` the per-stage shares come from the batch runner's own
 ``perf.stage.*`` histograms (one timing sample per stage column per
 sampled cycle) — the before/after view for stage vectorisation work::
 
     PYTHONPATH=src python benchmarks/profile_run.py --batch 64 --json
+
+With ``--crossover`` it measures where each vectorised tier of the
+batch kernel starts to pay, the data behind ``DENSE_MIN_ACTIVE`` and
+``FUSED_MIN_ACTIVE`` in ``repro/kernel/batch.py``: attack-free S1–S4
+rows (1000 steps each) at each width, best of three, once with the
+dense SoA columns forced on against forced off (fused codec on), and
+once with the fused codec forced on against the scalar cycle (dense
+columns off).  It prints µs per row-step per tier and the first width
+from which each vectorised tier wins::
+
+    PYTHONPATH=src python benchmarks/profile_run.py --crossover
 """
 
 import argparse
 import cProfile
 import json
 import pstats
+import sys
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.attack_types import AttackType
 from repro.core.strategies import strategy_by_name
 from repro.injection.engine import SimulationConfig, run_simulation
+from repro.sim.units import DT
 from repro.telemetry import STAGE_METRIC, Telemetry, TelemetryConfig
+
+#: Lockstep widths of the ``--crossover`` sweeps.
+DENSE_WIDTHS = (4, 8, 16, 24, 32, 48, 64)
+FUSED_WIDTHS = (2, 3, 4, 6, 8, 10, 12)
+CROSSOVER_STEPS = 1000
+CROSSOVER_REPEATS = 3
+
+#: A tier threshold no batch reaches: the tier is off.
+_OFF = sys.maxsize
 
 
 def profile_once(label: str, config: SimulationConfig, strategy_name=None, top: int = 20) -> None:
@@ -178,6 +201,90 @@ def profile_batch(args, top: int = 20) -> None:
     stats.sort_stats("cumulative").print_stats(top)
 
 
+def _time_tiers(width: int, settings) -> List[float]:
+    """Best-of-``CROSSOVER_REPEATS`` µs per row-step of one batch width
+    under each ``(DENSE_MIN_ACTIVE, FUSED_MIN_ACTIVE)`` setting.
+
+    The settings take turns within every repeat, so host drift hits
+    them alike.
+    """
+    from repro.kernel import batch
+
+    scenarios = ("S1", "S2", "S3", "S4")
+    best = [float("inf")] * len(settings)
+    for _ in range(CROSSOVER_REPEATS):
+        for k, (dense_min, fused_min) in enumerate(settings):
+            batch.DENSE_MIN_ACTIVE = dense_min
+            batch.FUSED_MIN_ACTIVE = fused_min
+            tasks = [
+                (
+                    SimulationConfig(
+                        scenario=scenarios[i % 4],
+                        initial_distance=70.0,
+                        seed=i,
+                        max_steps=CROSSOVER_STEPS,
+                    ),
+                    None,
+                )
+                for i in range(width)
+            ]
+            start = time.perf_counter()
+            results = batch.run_batched(tasks, batch_size=width)
+            elapsed = time.perf_counter() - start
+            row_steps = sum(round(result.duration / DT) for result in results)
+            best[k] = min(best[k], elapsed * 1e6 / row_steps)
+    return best
+
+
+def _sweep(title: str, labels, widths: Sequence[int], settings) -> Optional[int]:
+    """Print one tier's on/off table; return the first width from which
+    the vectorised tier (``settings[0]``) wins at every wider width."""
+    print(f"\n{title}")
+    print(f"{'width':>6} {labels[0]:>10} {labels[1]:>10}")
+    break_even = None
+    for width in widths:
+        on, off = _time_tiers(width, settings)
+        print(f"{width:>6} {on:>10.1f} {off:>10.1f}", flush=True)
+        if on >= off:
+            break_even = None
+        elif break_even is None:
+            break_even = width
+    return break_even
+
+
+def crossover() -> None:
+    """Measure the width at which each vectorised tier starts to win."""
+    from repro.kernel import batch
+
+    saved = (batch.DENSE_MIN_ACTIVE, batch.FUSED_MIN_ACTIVE)
+    print(
+        f"Tier crossover: attack-free S1-S4 rows, {CROSSOVER_STEPS} steps, "
+        f"best of {CROSSOVER_REPEATS}, us per row-step"
+    )
+    try:
+        dense = _sweep(
+            "dense SoA columns (fused codec on)",
+            ("dense", "dense off"),
+            DENSE_WIDTHS,
+            ((1, 1), (_OFF, 1)),
+        )
+        fused = _sweep(
+            "fused codec (dense columns off)",
+            ("fused", "scalar"),
+            FUSED_WIDTHS,
+            ((_OFF, 1), (_OFF, _OFF)),
+        )
+    finally:
+        batch.DENSE_MIN_ACTIVE, batch.FUSED_MIN_ACTIVE = saved
+    print()
+    for name, width, current in (
+        ("DENSE_MIN_ACTIVE", dense, saved[0]),
+        ("FUSED_MIN_ACTIVE", fused, saved[1]),
+    ):
+        measured = f"wins from {width} rows" if width is not None else "never wins in the sweep"
+        print(f"{name}: the tier {measured} (threshold in use: {current})")
+
+
 def _configs(args) -> list:
     distance: Optional[float] = 70.0 if args.scenario in ("S1", "S2", "S3", "S4") else None
     return [
@@ -222,10 +329,19 @@ def main() -> None:
         default=0,
         metavar="N",
         help="profile N attack-free runs through the lockstep batch executor "
-        "(dense SoA column path) instead of the two sequential runs",
+        "instead of the two sequential runs",
+    )
+    parser.add_argument(
+        "--crossover",
+        action="store_true",
+        help="sweep batch widths with each vectorised tier forced on and off "
+        "and print where it starts to win",
     )
     args = parser.parse_args()
 
+    if args.crossover:
+        crossover()
+        return
     if args.batch:
         if args.json:
             print(json.dumps({"runs": [probe_batch(args)]}, indent=2))

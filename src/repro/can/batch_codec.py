@@ -29,8 +29,12 @@ encoder in :mod:`repro.can.dbc`:
 
 Everything runs on preallocated scratch arrays with ``out=`` ufunc calls,
 so one encode pass costs a fixed few dozen numpy dispatches regardless of
-batch width — the break-even against per-run scalar encodes is a batch of
-about three.
+batch width (the four encodes of a cycle took 211–249 µs at 4–64 rows on
+a 2-vCPU Intel Xeon VM).  Per-run scalar encodes are cheaper in narrow
+batches, so the lockstep executor uses the codec only from
+``FUSED_MIN_ACTIVE`` (~8) active runs up, inside the band where
+``python benchmarks/profile_run.py --crossover`` sees the two trade
+places.
 
 The codec also keeps the per-signal **raw** integer arrays of the most
 recent batch, so the lockstep executor can recover the physical values a

@@ -27,10 +27,10 @@ lists per worker instead of one round-trip per run; batched dispatch
 sends as many chunks per worker as full batches fit (1 to 4), so each
 worker's lockstep batch runs full while its chunk lasts.  The benchmark
 (``perfbench/run.py``) measures the result end to end (``runs_per_s`` on
-``paper-campaign``) and per layer: ``kernel.batch.rows_per_cycle`` and
-``kernel.dense.row_share`` show how full the batches run,
-``injection.pool.busy_share`` and ``injection.pool.overhead_s`` what the
-pool costs.
+``paper-campaign``) and per layer: ``kernel.batch.rows_per_cycle``
+shows how full the batches run, ``kernel.dense.row_share`` how many
+row-steps ran on the dense tier, and ``injection.pool.busy_share`` and
+``injection.pool.overhead_s`` what the pool costs.
 
 On start-methods without ``fork`` the campaign configuration and the
 strategy factory are pickled to the workers; with ``fork`` they are

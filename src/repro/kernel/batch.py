@@ -48,6 +48,26 @@ Runs that finish (early-stop after a collision, or ``max_steps``) are
 retired immediately and their slot refilled from the pending queue, so
 batches stay dense and the codec always works on a contiguous prefix.
 
+Tiers
+-----
+
+Vectorising pays a fixed numpy dispatch cost per cycle, so each cycle
+runs on the cheapest of three tiers:
+
+* **dense** — at least ``DENSE_MIN_ACTIVE`` (~32) dense rows: the SoA
+  plan/actuate/detect columns run for the dense prefix;
+* **fused** — at least ``FUSED_MIN_ACTIVE`` (~8) active rows: the stage
+  columns with the batched CAN codec, plan/actuate/detect per row;
+* **scalar** — fewer active rows: every row's own scalar stages.
+
+Each threshold sits inside the band of widths where
+``python benchmarks/profile_run.py --crossover`` sees the two tiers
+trade places (the constants' comments give the figures), so a default
+16-wide batch runs the fused tier and only wide batches of uniform runs
+reach the dense one.  The tier can change every cycle as rows demote,
+retire and refill; the hand-offs (``_flush_traffic``, ``_detect_stale``,
+``ph_fresh``) keep every switch bit-exact.
+
 Equivalence
 -----------
 
@@ -59,8 +79,9 @@ vectorised column reproduces its scalar stage's floating-point operation
 sequence exactly (transcendental calls where numpy's ufunc differs from
 ``libm`` in the last ulp — ``tan``, ``atan``, ``atan2`` — stay per-row
 ``math`` loops).  The golden-run suite replays all 21 goldens through
-``batch_size`` 1, 8, 64 and 256
-(``tests/integration/test_batch_equivalence.py``).
+``batch_size`` 1, 8, 64 and 256 at the production thresholds, and
+through 1, 8 and 64 with both thresholds forced to 1 so that every tier
+runs at every width (``tests/integration/test_batch_equivalence.py``).
 
 Composition with the process pool: batching amortises Python dispatch
 *within* a worker, the pool scales *across* cores — ``workers=N``
@@ -98,21 +119,38 @@ BatchTask = Tuple["SimulationConfig", Optional["AttackStrategy"]]
 
 ProgressCallback = Callable[[int, int], None]
 
-#: Default lockstep width: wide enough that the vectorised codec passes
+#: Default lockstep width: wide enough that the fused codec passes
 #: amortise their numpy dispatch, small enough that short attacked runs
-#: do not leave the tail of a huge batch running alone.
+#: do not leave the tail of a huge batch running alone.  It is below
+#: ``DENSE_MIN_ACTIVE``, so a default batch runs the fused tier.
 DEFAULT_BATCH_SIZE = 16
 
-#: Below this many active runs the vectorised codec's fixed numpy
-#: dispatch cost no longer beats per-run scalar encodes, so the lockstep
-#: loop falls back to the scalar stages (identical results either way).
-FUSED_MIN_ACTIVE = 3
+#: Tier thresholds.  ``python benchmarks/profile_run.py --crossover``
+#: times attack-free S1–S4 rows (1000 steps, best of three, µs per
+#: row-step) at each width with a tier forced on and off; the figures
+#: below are from three sweeps on a 2-vCPU Intel Xeon VM.  Near its
+#: crossover a tier is within noise of the one below it, and every tier
+#: gives identical results, so the thresholds only pick the cheaper.
+#:
+#: Fewer than ``FUSED_MIN_ACTIVE`` active runs take the per-run scalar
+#: stages: the fused codec's encodes cost the same per cycle at any
+#: width, so they pay only once enough rows share them.  Fused against
+#: scalar with the dense columns off: 123.0 against 77.1 at 4 rows, 95.6
+#: against 103.6 at 10, 87.1 against 102.4 at 12.  The two tiers traded
+#: places between 6 and 10 rows; 8 is the middle of that band, where
+#: they were within 10 % either way (scalar ahead in two sweeps of
+#: three).  End to end, the benchmark's paper campaign (batch 16) could
+#: not tell a threshold of 8 from one of 10.
+FUSED_MIN_ACTIVE = 8
 
-#: Below this many *dense* rows the SoA column kernels (planners, ego
-#: physics, detectors) fall back to the per-run scalar stages for the
-#: dense prefix too — same break-even reasoning as ``FUSED_MIN_ACTIVE``,
-#: identical results either way.
-DENSE_MIN_ACTIVE = 3
+#: Fewer than ``DENSE_MIN_ACTIVE`` *dense* rows run the per-run scalar
+#: plan/actuate/detect stages for the dense prefix too: the SoA column
+#: kernels pay a fixed numpy dispatch cost per cycle.  Dense against
+#: dense off: 104.6 against 68.5 at 16 rows, 65.9 against 64.1 at 32,
+#: 59.8 against 64.7 at 48, 57.0 against 62.9 at 64.  The dense tier won
+#: at every wider width from 32 rows in one sweep and from 48 in the
+#: other two; 32 is the low end of that crossover.
+DENSE_MIN_ACTIVE = 32
 
 #: Width of the follower reaction-delay ring (entries per row).  The ring
 #: holds one ``(time, gap, ego_speed)`` sample per step over the
@@ -1758,9 +1796,10 @@ class BatchRunner:
     def _cycle_scalar(self, active: List[_Slot]) -> None:
         """One lockstep cycle through the per-run scalar stages.
 
-        Used when the batch has drained below the vectorisation
-        break-even; still stage-column order, still refreshing the shared
-        kinematics, bit-identical to the fused cycle.
+        Used below ``FUSED_MIN_ACTIVE`` active runs (a narrow batch, or
+        one whose pending queue ran dry); still stage-column order, still
+        refreshing the shared kinematics, bit-identical to the fused
+        cycle.
         """
         # The scalar actuate stages below read the follower objects'
         # perception history, which dense cycles keep ring-resident.

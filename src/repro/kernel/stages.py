@@ -33,10 +33,13 @@ through vectorised *column* implementations of the same eight stages
 (SoA numpy columns in :class:`repro.kernel.batch.BatchState`) and runs
 any row that diverges from the fast path — active alert, CAN
 transformer, driver intervention, non-vectorisable actor scripts —
-through these per-run ``run(ctx)`` methods instead.  A stage edit here
-therefore changes *both* paths' reference semantics: keep the golden
-batch-equivalence suite (``tests/integration/test_batch_equivalence.py``,
-batch sizes 1/8/64/256) green alongside the sequential goldens.
+through these per-run ``run(ctx)`` methods instead.  A cycle below the
+dense tier threshold runs the plan, actuate and detect methods for
+every row, and one below the fused threshold runs all eight.  A stage
+edit here therefore changes *both* paths' reference semantics: keep
+the golden batch-equivalence suite
+(``tests/integration/test_batch_equivalence.py``, batch sizes
+1/8/64/256) green alongside the sequential goldens.
 """
 
 from repro.kernel.context import StepContext

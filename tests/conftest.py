@@ -55,3 +55,22 @@ def noisy_world(message_bus, can_bus) -> World:
     """A world with the default noise and disturbance models."""
     config = WorldConfig(scenario=build_scenario("S1", 70.0), seed=3)
     return World(config, message_bus, can_bus)
+
+
+@pytest.fixture(params=["production", "forced"])
+def kernel_tiers(request, monkeypatch):
+    """Run a batch test at the production tier thresholds, then with
+    every vectorised tier forced on.
+
+    The production thresholds (``DENSE_MIN_ACTIVE``, ``FUSED_MIN_ACTIVE``
+    in :mod:`repro.kernel.batch`) keep narrow batches on the scalar and
+    fused tiers.  With both at 1 even a one-row batch runs the fused
+    codec and the dense SoA columns, so a test taking this fixture covers
+    every tier at every width it runs.
+    """
+    if request.param == "forced":
+        from repro.kernel import batch
+
+        monkeypatch.setattr(batch, "DENSE_MIN_ACTIVE", 1)
+        monkeypatch.setattr(batch, "FUSED_MIN_ACTIVE", 1)
+    return request.param

@@ -8,9 +8,13 @@ to sequential results —
 
 * every golden run (all catalog scenarios attack-free plus one attacked
   S1 run per attack type) replays identically through ``batch_size`` 1,
-  8, 64 and 256 — covering the scalar lockstep fallback, the fused codec
-  path and the SoA dense column path at widths where the whole golden
-  set rides in one batch;
+  8, 64 and 256 at the production tier thresholds, and through 1, 8 and
+  64 with every tier forced on (from 64 up the whole golden set rides in
+  one batch) — covering the scalar lockstep fallback, the fused codec
+  path and the SoA dense column path at every distinct batching;
+* the production thresholds pick the tier documented in
+  :mod:`repro.kernel.batch`, and a batch whose dense row count crosses
+  the threshold both ways mid-run stays identical;
 * a sampled-family campaign produces identical results batched,
   sequential, and batched-inside-parallel-workers;
 * the lockstep machinery itself (retirement, refill, progress, strategy
@@ -27,7 +31,7 @@ from repro.core.attack_types import AttackType
 from repro.core.strategies import strategy_by_name
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.engine import Simulation, SimulationConfig, run_simulation
-from repro.kernel import BatchKinematics, BatchRunner, run_batched
+from repro.kernel import BatchKinematics, BatchRunner, batch, run_batched
 from repro.kernel.batch import FUSED_MIN_ACTIVE
 from repro.scenarios import ScenarioSampler
 
@@ -58,15 +62,133 @@ def _golden_tasks():
 
 
 class TestGoldenBatchEquivalence:
-    @pytest.mark.parametrize("batch_size", [1, 8, 64, 256])
-    def test_all_goldens_replay_through_batch_runner(self, batch_size, golden_runs):
+    # All 21 goldens fit one batch from width 64 up, so forcing the tiers
+    # at 256 would replay the 64-wide batch again.
+    @pytest.mark.parametrize(
+        "kernel_tiers, batch_size",
+        [("production", width) for width in (1, 8, 64, 256)]
+        + [("forced", width) for width in (1, 8, 64)],
+        indirect=["kernel_tiers"],
+    )
+    def test_all_goldens_replay_through_batch_runner(
+        self, batch_size, golden_runs, kernel_tiers
+    ):
         keys, tasks = _golden_tasks()
         results = run_batched(tasks, batch_size=batch_size)
         assert len(results) == len(keys)
         for key, result in zip(keys, results):
             assert result.to_dict() == golden_runs[key], (
-                f"batched (batch_size={batch_size}) output diverged from golden for {key}"
+                f"batched (batch_size={batch_size}, {kernel_tiers} tiers) output "
+                f"diverged from golden for {key}"
             )
+
+
+class TestTierThresholds:
+    def _column_calls(self, monkeypatch, width):
+        """Calls of two dense columns over ``width`` 50-step runs."""
+        calls = {"update_long_columns": 0, "step_ego_columns": 0}
+        for name in calls:
+
+            def counting(*args, _name=name, _column=getattr(batch, name)):
+                calls[_name] += 1
+                return _column(*args)
+
+            monkeypatch.setattr(batch, name, counting)
+        tasks = [
+            (SimulationConfig(scenario="S1", initial_distance=70.0, seed=i, max_steps=50), None)
+            for i in range(width)
+        ]
+        run_batched(tasks, batch_size=width)
+        return calls
+
+    def test_paper_width_batch_stays_off_the_dense_columns(self, monkeypatch):
+        # 16 rows (the default width, and the paper campaign's) are below
+        # the dense break-even: the SoA columns must not run at all.
+        assert self._column_calls(monkeypatch, 16) == {
+            "update_long_columns": 0,
+            "step_ego_columns": 0,
+        }
+
+    def test_wide_uniform_batch_runs_the_dense_columns_every_cycle(self, monkeypatch):
+        # Equal-length attack-free rows stay dense until they retire
+        # together, so each column runs once per cycle.
+        assert self._column_calls(monkeypatch, 48) == {
+            "update_long_columns": 50,
+            "step_ego_columns": 50,
+        }
+
+    def test_dense_tier_switches_off_and_back_on_through_refills(self, monkeypatch):
+        # Dense threshold 4 in a 6-wide batch.  The simulated human takes
+        # over the three Steering-Left rows at ~4.8 s, so they demote and
+        # the dense count falls to 3: the dense columns stop, follower rings
+        # are handed to the run objects and scalar detects advance the
+        # latches.  At ~7.3 s the tailgating Steering-Left row crashes
+        # and retires, and its refill takes the count back to 4: rings
+        # re-seeded, detector mirrors re-synced, stale physics gathered.
+        # The tailgating row under Deceleration rides dense through both
+        # switches until its follower rear-ends it (~10.3 s), so its
+        # result depends on the ring hand-off.
+        monkeypatch.setattr(batch, "DENSE_MIN_ACTIVE", 4)
+        monkeypatch.setattr(batch, "FUSED_MIN_ACTIVE", 1)
+        specs = [
+            ("S1", 50.0, AttackType.STEERING_LEFT, 2000),
+            ("S1", 70.0, AttackType.STEERING_LEFT, 2000),
+            ("tailgating-follower", None, AttackType.STEERING_LEFT, 2000),
+            ("tailgating-follower", None, AttackType.DECELERATION, 2000),
+            ("S2", 70.0, None, 1200),
+            ("S1", 70.0, AttackType.ACCELERATION_STEERING, 2000),
+            ("S1", 50.0, None, 1000),
+            ("S3", 70.0, None, 600),
+            ("S4", 70.0, None, 400),
+            ("S2", 50.0, None, 300),
+        ]
+
+        def tasks():
+            return [
+                (
+                    SimulationConfig(
+                        scenario=scenario,
+                        initial_distance=distance,
+                        seed=3,
+                        attack_type=attack,
+                        max_steps=steps,
+                    ),
+                    strategy_by_name("Context-Aware") if attack else None,
+                )
+                for scenario, distance, attack, steps in specs
+            ]
+
+        expected = [run_simulation(config, strategy) for config, strategy in tasks()]
+        runner = BatchRunner(batch_size=6)
+        dense_rows = []
+        original_cycle = runner._cycle
+        original_detect = runner._detect_dense
+
+        def counting_cycle(active, stage_hists=None):
+            original_cycle(active, stage_hists)
+            dense_rows.append(runner._n_dense)
+
+        def checked_detect(active, n_dense):
+            # A stale mirror heals itself by over-dispatching, so results
+            # alone would not show a missed re-sync: when the dense detect
+            # starts, re-syncing every dense row must change nothing.
+            state = runner.state
+            mirrors = batch._DETECT_BOOL_COLUMNS
+            before = [getattr(state, name)[:n_dense].copy() for name in mirrors]
+            for row in range(n_dense):
+                state.sync_detect_row(row, active[row])
+            for name, mirror in zip(mirrors, before):
+                assert np.array_equal(getattr(state, name)[:n_dense], mirror), name
+            original_detect(active, n_dense)
+
+        runner._cycle = counting_cycle
+        runner._detect_dense = checked_detect
+        assert runner.run_tasks(tasks()) == expected
+
+        dense = [rows >= 4 for rows in dense_rows]
+        switches = list(zip(dense, dense[1:]))
+        assert (True, False) in switches, "the dense row count never fell below 4"
+        assert (False, True) in switches, "the dense row count never climbed back to 4"
 
 
 class TestSampledFamilyCampaignEquivalence:
@@ -88,7 +210,9 @@ class TestSampledFamilyCampaignEquivalence:
         batched = Campaign(config).run(batch_size=8)
         assert batched == sequential
 
-    def test_batched_inside_parallel_workers_equals_sequential(self):
+    def test_batched_inside_parallel_workers_equals_sequential(self, kernel_tiers):
+        # Forked workers inherit the patched thresholds, so in the forced
+        # case the 4-row batches run the fused and dense tiers.
         config = self._config(16)
         sequential = Campaign(config).run()
         combined = Campaign(config).run(workers=2, batch_size=4)
@@ -184,10 +308,12 @@ class TestBatchRunnerMechanics:
         assert kin.ttc[1] == 40.0 / 5.0
         assert kin.headway[1] == 40.0 / 20.0
 
-    def test_transformer_on_bus_falls_back_to_scalar_stages(self):
+    def test_transformer_on_bus_falls_back_to_scalar_stages(self, kernel_tiers):
         # A man-in-the-middle transformer makes the codec fast path
         # unsound; the runner must detect it and still produce the exact
-        # sequential result through the scalar stages.
+        # sequential result through the scalar stages.  Four rows run the
+        # scalar cycle at the production thresholds; forced, they run the
+        # fused columns, whose per-row fallback must take every row.
         config = SimulationConfig(scenario="S1", initial_distance=70.0, seed=5, max_steps=300)
         expected = run_simulation(config)
 

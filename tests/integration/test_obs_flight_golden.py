@@ -4,8 +4,9 @@ The tap rides inside the kernel's cycle loop (scalar delegation wrapper,
 batched ``record`` stage hook), so the hard guarantee it must keep is
 the same one the batch executor keeps: **bit-for-bit** golden equality
 with capture enabled at full rate — for every golden run sequentially
-and through the lockstep batch runner at widths covering the scalar
-fallback and the dense SoA path.
+and through the lockstep batch runner at the production tier thresholds
+and with every tier forced on, so the scalar fallback, the fused codec
+and the dense SoA path all run tapped.
 """
 
 import json
@@ -61,12 +62,15 @@ class TestTapGoldenEquivalence:
         )
 
     @pytest.mark.parametrize("batch_size", [8, 64])
-    def test_tapped_batched_runs_match_goldens(self, batch_size, golden_runs, tmp_path):
+    def test_tapped_batched_runs_match_goldens(
+        self, batch_size, golden_runs, tmp_path, kernel_tiers
+    ):
         keys, tasks = _golden_tasks()
         results = run_batched(
             tasks, batch_size=batch_size, recorder=_recorder(tmp_path)
         )
         for key, result in zip(keys, results):
             assert result.to_dict() == golden_runs[key], (
-                f"tapped batch (batch_size={batch_size}) diverged from golden for {key}"
+                f"tapped batch (batch_size={batch_size}, {kernel_tiers} tiers) "
+                f"diverged from golden for {key}"
             )

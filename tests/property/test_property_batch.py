@@ -7,9 +7,13 @@ tests pin that contract from the outside: for *arbitrary* mixes of
 rows that stay dense and rows that demote mid-run, the batched results
 must be bit-identical to running every task through the sequential
 engine — no tolerance, ``RunResult.__eq__`` compares every field.
+
+These batches (2–8 rows) sit below the production tier thresholds, so
+each test also runs with both thresholds forced to 1: the dense SoA
+columns and the fused codec then run at every width.
 """
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.attack_types import AttackType
@@ -53,12 +57,20 @@ def _build_tasks(specs):
 
 
 class TestDivergenceMaskProperty:
-    @settings(max_examples=8, deadline=None)
+    # ``kernel_tiers`` patches module constants that are the same for
+    # every example, so one patch per test serves them all.
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(
         specs=st.lists(_task_spec, min_size=2, max_size=6),
         batch_size=st.integers(min_value=2, max_value=8),
     )
-    def test_any_dense_demoted_mix_is_bit_identical_to_scalar(self, specs, batch_size):
+    def test_any_dense_demoted_mix_is_bit_identical_to_scalar(
+        self, kernel_tiers, specs, batch_size
+    ):
         batched = run_batched(_build_tasks(specs), batch_size=batch_size)
         sequential = [
             run_simulation(config, strategy)
@@ -68,7 +80,7 @@ class TestDivergenceMaskProperty:
 
 
 class TestMidRunDemotionRegression:
-    def test_alert_at_step_k_demotes_row_and_stays_identical(self):
+    def test_alert_at_step_k_demotes_row_and_stays_identical(self, kernel_tiers):
         # A scheduled steering attack saturates the lateral controller
         # mid-run: the steerSaturated alert raises at some step k > 0,
         # and the row must leave the dense region at the next cycle top
