@@ -28,7 +28,7 @@ from repro.adas.limits import OPENPILOT_LIMITS, SafetyLimits
 from repro.adas.longitudinal import LongitudinalParams, LongitudinalPlan, LongitudinalPlanner
 from repro.can.bus import CANBus
 from repro.can.frame import CANFrame
-from repro.can.honda import ADDR, HONDA_DBC
+from repro.can.honda import ACC_CONTROL_LAYOUT, ADDR, STEERING_CONTROL_LAYOUT
 from repro.messaging.bus import MessageBus
 from repro.messaging.messages import Actuators, CarControl, CarState, ControlsState
 from repro.messaging.pubsub import PubMaster, SubMaster
@@ -92,11 +92,11 @@ class OpenPilot:
         # retained ActuatorCommand so the kernel can reuse one command
         # object per cycle without aliasing the history.
         self._previous_steering_deg = 0.0
-        # Compiled codec plans for the two command frames sent every cycle.
+        # Compiled packers for the two command frames sent every cycle.
         self._addr_steering_control = ADDR["STEERING_CONTROL"]
         self._addr_acc_control = ADDR["ACC_CONTROL"]
-        self._plan_steering_control = HONDA_DBC.plan_by_address(self._addr_steering_control)
-        self._plan_acc_control = HONDA_DBC.plan_by_address(self._addr_acc_control)
+        self._pack_steering_control = STEERING_CONTROL_LAYOUT.pack
+        self._pack_acc_control = ACC_CONTROL_LAYOUT.pack
         # Reused 100 Hz payloads: bus payloads are shared and treated as
         # immutable by subscribers (see repro.messaging.messages), so the
         # publisher refreshes one instance per service instead of
@@ -351,34 +351,21 @@ class OpenPilot:
         return command, new_alerts
 
     def _send_can(self, time: float, command: ActuatorCommand) -> None:
-        """Encode and send the actuator command frames on the CAN bus."""
-        self.advance_can_counter()
+        """Pack and send the actuator command frames on the CAN bus."""
+        counter = self.advance_can_counter()
+        angle = command.steering_angle_deg
         self.can_bus.send(
             CANFrame(
                 self._addr_steering_control,
-                self._plan_steering_control.encode(
-                    {
-                        "STEER_ANGLE_CMD": command.steering_angle_deg,
-                        "STEER_TORQUE": clamp(command.steering_angle_deg / 100.0, -1.0, 1.0),
-                        "STEER_REQUEST": 1.0,
-                    },
-                    counter=self._can_counter,
-                ),
+                self._pack_steering_control(counter, angle, clamp(angle / 100.0, -1.0, 1.0)),
                 timestamp=time,
             )
         )
+        brake = command.brake
         self.can_bus.send(
             CANFrame(
                 self._addr_acc_control,
-                self._plan_acc_control.encode(
-                    {
-                        "ACCEL_COMMAND": command.accel,
-                        "BRAKE_COMMAND": command.brake,
-                        "BRAKE_REQUEST": 1.0 if command.brake > 0 else 0.0,
-                        "ACC_ON": 1.0,
-                    },
-                    counter=self._can_counter,
-                ),
+                self._pack_acc_control(counter, command.accel, brake, 1.0 if brake > 0 else 0.0),
                 timestamp=time,
             )
         )

@@ -2,10 +2,10 @@
 
 The kernel batch executor (:mod:`repro.kernel.batch`) steps many
 independent runs through each pipeline stage together, which turns the
-four hot per-step ``MessagePlan.encode`` calls of every run into one
-structure-of-arrays computation per message: clamp, scale, round, clamp
-to the field range, pack, checksum — each as a single numpy operation
-over the whole batch instead of a Python-level pass per run.
+four frames every run encodes per step into one structure-of-arrays
+computation per message: clamp, scale, round, clamp to the field range,
+pack, checksum — each as a single numpy operation over the whole batch
+instead of a Python-level pass per run.
 
 Bit-for-bit equivalence with the scalar encoder is a hard requirement
 (the golden-run suite replays through the batch executor), so every
@@ -32,9 +32,8 @@ so one encode pass costs a fixed few dozen numpy dispatches regardless of
 batch width (the four encodes of a cycle took 211–249 µs at 4–64 rows on
 a 2-vCPU Intel Xeon VM).  Per-run scalar encodes are cheaper in narrow
 batches, so the lockstep executor uses the codec only from
-``FUSED_MIN_ACTIVE`` (~8) active runs up, inside the band where
-``python benchmarks/profile_run.py --crossover`` sees the two trade
-places.
+``FUSED_MIN_ACTIVE`` (8) active runs up; that constant's comment gives
+the crossover ``python benchmarks/profile_run.py --crossover`` measures.
 
 The codec also keeps the per-signal **raw** integer arrays of the most
 recent batch, so the lockstep executor can recover the physical values a
@@ -137,17 +136,9 @@ class BatchMessageCodec:
         self.message = plan.message
         self.capacity = capacity
         self.length = plan.message.length
-        constants = constants or {}
-        unknown = (set(signals) | set(constants)) - set(plan.fields)
-        if unknown:
-            raise KeyError(
-                f"unknown signals for message {plan.message.name!r}: {sorted(unknown)}"
-            )
-        reserved = {"COUNTER", "CHECKSUM"} & (set(signals) | set(constants))
-        if reserved:
-            raise ValueError("COUNTER/CHECKSUM are implicit and must not be listed")
-        if set(constants) & set(signals):
-            raise ValueError("a signal cannot be both constant and per-run")
+        # Constant signals are packed once into the accumulator's initial
+        # value, exactly as the scalar layout packer folds them.
+        self._acc_base = plan.layout_base(signals, constants or {})
         if set(integral) - set(signals):
             raise ValueError("integral signals must be a subset of signals")
         self._fields: Dict[str, _BatchFieldPlan] = {
@@ -160,13 +151,6 @@ class BatchMessageCodec:
         self._integral_plans = tuple(
             plan for plan in self._fields.values() if plan.name in integral
         )
-        # Constant signals: pack their raw bits once (scalar semantics via
-        # Signal.to_raw, which the compiled encoder mirrors exactly).
-        base = 0
-        for name, value in constants.items():
-            field_plan = plan.fields[name]
-            base |= field_plan.signal.to_raw(value) << field_plan.shift
-        self._acc_base = base
         counter = plan.fields.get("COUNTER")
         self._counter_shift = counter.shift if counter is not None else None
         self._counter_mask = counter.mask if counter is not None else None

@@ -10,10 +10,9 @@ computation.
 from typing import Union
 
 # Per-byte nibble sums ((b >> 4) + (b & 0xF)), so the payload loop is a
-# single table-driven ``sum`` instead of per-byte shifting; the checksum
-# runs once per encoded frame on the simulator's 100 Hz control path.
-# ``NIBBLE_SUMS`` is public so the compiled codec plans can inline the
-# same computation (equivalence is pinned by the codec round-trip tests).
+# single table-driven ``sum`` instead of per-byte shifting.  The compiled
+# codec plans fold the same sum from the packed payload int instead
+# (equivalence is pinned by the codec round-trip tests).
 NIBBLE_SUMS = tuple((b >> 4) + (b & 0xF) for b in range(256))
 
 

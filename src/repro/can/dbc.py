@@ -16,38 +16,42 @@ modelled in :mod:`repro.can.honda` and keeps the codec easy to verify.
 Performance
 -----------
 
-``encode``/``decode`` sit on the 100 Hz control path of every simulation
-(six decodes and four encodes per 10 ms step), so the :class:`DBC` builds
-a :class:`MessagePlan` per message at construction time:
+Every 10 ms control cycle sends four frames and reads each of them
+straight back (the world publishes the car's state, the ADAS its
+actuator commands), so the :class:`DBC` builds a :class:`MessagePlan` per
+message at construction time, whose functions are generated with every
+shift, mask and scaling constant embedded as a literal:
 
-* shift/mask/sign-extension constants are computed once per signal
-  instead of on every call;
-* the whole payload is converted to/from a single Python int (one
-  ``int.from_bytes`` per decode rather than one per signal);
-* each plan keeps a preallocated encode buffer;
-* each plan memoizes the payloads it has recently seen in a small
-  bounded dict, so decoding a frame that was just encoded (or decoding
-  the same frame twice in one step) skips the bit unpacking *and* the
-  checksum verification entirely.  The memo is multi-entry (rather than
-  last-payload-only) because the lockstep batch executor
-  (:mod:`repro.kernel.batch`) interleaves the encode/decode cycles of
-  many runs through the same shared plan; per-payload raw fields are
-  extracted lazily from the memoized packed int, so a memo entry costs
-  no per-signal work until a signal is actually requested.
+* ``encode(values)`` and ``decode(frame)`` take and return dicts keyed by
+  signal name, for callers that handle arbitrary signals (the CAN-level
+  attacker in :mod:`repro.core.can_tamper`, the Panda safety model);
+* a :class:`FrameLayout` declares one sender's per-step use of a message
+  and compiles a positional packer, ``pack(counter, *values)``, with the
+  layout's constant signals folded into the int it starts from, and a
+  reader, ``read(frame) -> tuple``.  The hot callers in
+  :mod:`repro.sim.world` and :mod:`repro.adas.openpilot` use these, so a
+  control cycle builds no value dicts and looks up no signal names;
+* the payload is one Python int throughout: fields are OR-ed into it,
+  the Honda checksum is folded from it, and one ``int.to_bytes`` or
+  ``int.from_bytes`` converts it;
+* each plan memoizes the payloads it recently packed or decoded in a
+  bounded dict keyed by payload bytes, so reading a frame that was just
+  packed skips both the int conversion and the checksum verification.
+  The memo is multi-entry because the lockstep batch executor
+  (:mod:`repro.kernel.batch`) interleaves the cycles of many runs
+  through the same shared plan.
 
-``decode(frame, signals=(...))`` decodes only a subset of signals and
-``decode_signal(frame, name)`` is the single-field fast path; both are
-used by the hot callers in :mod:`repro.sim.world` and
-:mod:`repro.core.can_tamper`.  The loop-per-signal reference
-implementation is kept as :func:`_pack_field`/:func:`_unpack_field` and
-the equivalence of the compiled plans against it is asserted by
-``tests/unit/test_can_codec_plans.py``.
+Plans keep no per-call state: every entry point works on locals and the
+memo is only ever read or written one whole entry at a time, so threads
+may share a plan.  The loop-per-signal reference implementation is kept
+as :func:`_pack_field`/:func:`_unpack_field`, and
+``tests/unit/test_can_codec_plans.py`` pins the compiled plans to it.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.can.checksum import NIBBLE_SUMS, address_nibble_sum, verify_checksum
+from repro.can.checksum import address_nibble_sum, verify_checksum
 from repro.can.frame import CANFrame
 
 
@@ -122,11 +126,20 @@ class MessageDef:
         if not 1 <= self.length <= 8:
             raise ValueError(f"message {self.name!r}: length must be 1..8 bytes")
         total_bits = self.length * 8
+        used = 0
         for sig in self.signals.values():
             if sig.msb_offset + sig.size > total_bits:
                 raise ValueError(
                     f"signal {sig.name!r} does not fit in {self.length}-byte message {self.name!r}"
                 )
+            # Disjoint fields let every packer OR its fields together in
+            # any order (constants first) and still match the reference.
+            bits = ((1 << sig.size) - 1) << (total_bits - sig.msb_offset - sig.size)
+            if used & bits:
+                raise ValueError(
+                    f"signal {sig.name!r} overlaps another signal of message {self.name!r}"
+                )
+            used |= bits
 
 
 def _pack_field(data: bytearray, msb_offset: int, size: int, raw: int) -> None:
@@ -155,7 +168,6 @@ class _FieldPlan:
         "signal",
         "shift",
         "mask",
-        "clear_mask",
         "factor",
         "offset",
         "minimum",
@@ -172,7 +184,6 @@ class _FieldPlan:
         self.signal = signal
         self.shift = total_bits - signal.msb_offset - signal.size
         self.mask = (1 << signal.size) - 1
-        self.clear_mask = ~(self.mask << self.shift)
         self.factor = signal.factor
         self.offset = signal.offset
         self.minimum = signal.minimum
@@ -193,6 +204,10 @@ class _FieldPlan:
 #: Sentinel distinguishing "signal not in the values dict" from any value.
 _MISSING = object()
 
+#: Signals every packer fills itself: from its ``counter`` argument and
+#: the checksum of the packed payload.
+_RESERVED = ("COUNTER", "CHECKSUM")
+
 #: Decode-memo entries kept per plan before the memo is wholesale cleared.
 #: Sized for a full lockstep batch (every run contributes one payload per
 #: message per step) with plenty of slack; clearing is O(1) amortized.
@@ -204,85 +219,132 @@ def _float_literal(value: float) -> str:
     return repr(float(value))
 
 
-def _compile_encode_source(message: MessageDef, fields: "Dict[str, _FieldPlan]") -> str:
-    """Generate the source of a specialised encoder for ``message``.
+def _pack_field_lines(plan: _FieldPlan, var: str, indent: str) -> List[str]:
+    """Source that turns physical ``var`` into its raw bits, OR-ed into ``acc``.
 
-    The generated function unrolls the per-signal loop with every shift,
-    mask and scaling constant embedded as a literal (the same technique
-    code-generating DBC compilers use).  The arithmetic mirrors
-    :meth:`Signal.to_raw` exactly — including the ``max``/``min`` clamp
-    semantics — so the output is byte-identical to the reference encoder;
-    ``tests/unit/test_can_codec_plans.py`` pins that equivalence.
+    The arithmetic mirrors :meth:`Signal.to_raw` exactly — including the
+    ``max``/``min`` clamp semantics — so the output is byte-identical to
+    the reference encoder; ``tests/unit/test_can_codec_plans.py`` pins
+    that equivalence.
     """
+    lines = []
+    if plan.minimum is not None:
+        lines.append(f"if not {var} > {_float_literal(plan.minimum)}:")
+        lines.append(f"    {var} = {_float_literal(plan.minimum)}")
+    if plan.maximum is not None:
+        lines.append(f"if not {var} < {_float_literal(plan.maximum)}:")
+        lines.append(f"    {var} = {_float_literal(plan.maximum)}")
+    expr = var
+    if plan.offset != 0.0:
+        expr = f"({expr} - {_float_literal(plan.offset)})"
+    if plan.factor != 1.0:
+        expr = f"{expr} / {_float_literal(plan.factor)}"
+    lines.append(f"raw = int(round({expr}))")
+    if plan.is_signed:
+        lines.append(f"if raw < {plan.signed_min}:")
+        lines.append(f"    raw = {plan.signed_min}")
+        lines.append(f"elif raw > {plan.signed_max}:")
+        lines.append(f"    raw = {plan.signed_max}")
+        lines.append("if raw < 0:")
+        lines.append(f"    raw += {plan.wrap}")
+    else:
+        lines.append("if raw < 0:")
+        lines.append("    raw = 0")
+        lines.append(f"elif raw > {plan.mask}:")
+        lines.append(f"    raw = {plan.mask}")
+    lines.append(f"acc |= raw << {plan.shift}")
+    return [indent + line for line in lines]
+
+
+def _pack_tail_lines(message: MessageDef, fields: Dict[str, _FieldPlan]) -> List[str]:
+    """Source every packer ends with: counter, checksum, bytes, memo entry."""
+    lines = []
+    counter = fields.get("COUNTER")
+    if counter is not None:
+        lines.append(f"acc |= (counter & {counter.mask}) << {counter.shift}")
+    if message.checksummed:
+        # The Honda checksum (repro.can.checksum.honda_checksum), folded
+        # from the int: `nibbles` holds each byte's nibble sum (< 31) in
+        # that byte's lane, and since 256 % 255 == 1, `nibbles % 255` adds
+        # the lanes up (their total is at most 8 * 30 = 240).
+        low_nibbles = int("0f" * message.length, 16)
+        lines.append(f"nibbles = (acc & {low_nibbles}) + ((acc >> 4) & {low_nibbles})")
+        lines.append(
+            f"acc = (acc & -16) | (({8 - address_nibble_sum(message.address)}"
+            " - nibbles % 255 + (acc & 15)) & 15)"
+        )
+    lines.append(f"data = acc.to_bytes({message.length}, 'big')")
+    lines.append("if len(_memo) >= _MEMO_CAPACITY:")
+    lines.append("    _memo.clear()")
+    lines.append("_memo[data] = [acc, True]")
+    lines.append("return data")
+    return ["    " + line for line in lines]
+
+
+def _encode_source(message: MessageDef, fields: Dict[str, _FieldPlan]) -> str:
+    """Source of ``encode(values, counter=0)``, keyed by signal name."""
     lines = [
-        "def _compiled_encode(self, values, counter=0):",
-        "    if not self._names.issuperset(values):",
-        "        unknown = values.keys() - self._names",
-        "        raise KeyError(",
-        "            f\"unknown signals for message {self.message.name!r}: {sorted(unknown)}\"",
-        "        )",
+        "def encode(values, counter=0):",
+        "    if not _names.issuperset(values):",
+        "        _require_known(values)",
         "    acc = 0",
     ]
     for name, plan in fields.items():
-        if name in ("CHECKSUM", "COUNTER"):
+        if name in _RESERVED:
             continue
         lines.append(f"    v = values.get({name!r}, _MISSING)")
         lines.append("    if v is not _MISSING:")
-        if plan.minimum is not None:
-            lines.append(f"        if not v > {_float_literal(plan.minimum)}:")
-            lines.append(f"            v = {_float_literal(plan.minimum)}")
-        if plan.maximum is not None:
-            lines.append(f"        if not v < {_float_literal(plan.maximum)}:")
-            lines.append(f"            v = {_float_literal(plan.maximum)}")
-        expr = "v"
-        if plan.offset != 0.0:
-            expr = f"({expr} - {_float_literal(plan.offset)})"
-        if plan.factor != 1.0:
-            expr = f"{expr} / {_float_literal(plan.factor)}"
-        lines.append(f"        raw = int(round({expr}))")
-        if plan.is_signed:
-            lines.append(f"        if raw < {plan.signed_min}:")
-            lines.append(f"            raw = {plan.signed_min}")
-            lines.append(f"        elif raw > {plan.signed_max}:")
-            lines.append(f"            raw = {plan.signed_max}")
-            lines.append("        if raw < 0:")
-            lines.append(f"            raw += {plan.wrap}")
-        else:
-            lines.append("        if raw < 0:")
-            lines.append("            raw = 0")
-            lines.append(f"        elif raw > {plan.mask}:")
-            lines.append(f"            raw = {plan.mask}")
-        lines.append(f"        acc = (acc & {plan.clear_mask}) | (raw << {plan.shift})")
-    counter_plan = fields.get("COUNTER")
-    if counter_plan is not None:
-        lines.append(f"    raw = counter & {counter_plan.mask}")
-        lines.append(
-            f"    acc = (acc & {counter_plan.clear_mask}) | (raw << {counter_plan.shift})"
+        lines.extend(_pack_field_lines(plan, "v", "        "))
+    lines.extend(_pack_tail_lines(message, fields))
+    return "\n".join(lines)
+
+
+def _packer_source(
+    message: MessageDef, fields: Dict[str, _FieldPlan], signals: Sequence[str], base: int
+) -> str:
+    """Source of ``pack(counter, *values)`` starting from the int ``base``."""
+    params = [f"v{i}" for i in range(len(signals))]
+    lines = [f"def pack({', '.join(['counter', *params])}):", f"    acc = {base}"]
+    for var, name in zip(params, signals):
+        lines.extend(_pack_field_lines(fields[name], var, "    "))
+    lines.extend(_pack_tail_lines(message, fields))
+    return "\n".join(lines)
+
+
+def _reader_source(fields: Dict[str, _FieldPlan], signals: Sequence[str]) -> str:
+    """Source of ``read(frame)``: the physical values of ``signals``, unpacked
+    from the memoized int with :meth:`_FieldPlan.to_physical`'s arithmetic."""
+    lines = [
+        "def read(frame):",
+        "    data = frame.data",
+        "    entry = _memo_get(data)",
+        "    if entry is None or not entry[1]:",
+        "        entry = _lookup(data, True)",
+        "    acc = entry[0]",
+    ]
+    values = []
+    for i, name in enumerate(signals):
+        plan = fields[name]
+        lines.append(f"    r{i} = (acc >> {plan.shift}) & {plan.mask}")
+        if plan.sign_bit:
+            lines.append(f"    if r{i} >= {plan.sign_bit}:")
+            lines.append(f"        r{i} -= {plan.wrap}")
+        values.append(
+            f"r{i} * {_float_literal(plan.factor)} + {_float_literal(plan.offset)}, "
         )
-    lines.append("    buffer = self._buffer")
-    lines.append(f"    buffer[:] = acc.to_bytes({message.length}, 'big')")
-    if message.checksummed:
-        lines.append(
-            "    checksum = (8 - (%d + sum(map(_nibble_sum, buffer)) - (buffer[-1] & 15))) & 15"
-            % address_nibble_sum(message.address)
-        )
-        lines.append("    buffer[-1] = (buffer[-1] & 240) | checksum")
-        lines.append("    acc = (acc & -16) | checksum")
-    lines.append("    data = bytes(buffer)")
-    lines.append("    memo = self._memo")
-    lines.append("    if len(memo) >= _MEMO_CAPACITY:")
-    lines.append("        memo.clear()")
-    lines.append(f"    memo[data] = [acc, {{}}, {message.checksummed}]")
-    lines.append("    return data")
+    lines.append(f"    return ({''.join(values)})")
     return "\n".join(lines)
 
 
 class MessagePlan:
     """Compiled encode/decode plan for one :class:`MessageDef`.
 
-    Plans are built once per DBC and are not thread-safe (they reuse an
-    encode buffer and a single-entry decode memo); each campaign worker
-    process gets its own copy, which is all the simulator needs.
+    Plans are built once per DBC.  They keep no per-call state — the only
+    shared structure is the bounded decode memo, whose entries
+    ``[packed_int, checksum_verified]`` are read and written whole — so
+    threads may share one plan (e.g. the campaign service's in-process
+    chunks on executor threads).  ``checksum_verified`` is also true for a
+    message without a checksum.
     """
 
     def __init__(self, message: MessageDef):
@@ -292,111 +354,175 @@ class MessagePlan:
             name: _FieldPlan(sig, total_bits) for name, sig in message.signals.items()
         }
         self._names = frozenset(self.fields)
-        self._buffer = bytearray(message.length)
-        # Compile the specialised encoder/unpacker for this message (all
-        # shift/mask/scaling constants embedded as literals).
+        self._memo: Dict[bytes, list] = {}
+        self._encode = self._compile(_encode_source(message, self.fields), "encode")
+
+    def _compile(self, source: str, name: str) -> Callable:
         namespace = {
             "_MISSING": _MISSING,
-            "_nibble_sum": NIBBLE_SUMS.__getitem__,
             "_MEMO_CAPACITY": _MEMO_CAPACITY,
+            "_memo": self._memo,
+            "_memo_get": self._memo.get,
+            "_names": self._names,
+            "_require_known": self._require_known,
+            "_lookup": self._lookup,
         }
-        exec(_compile_encode_source(message, self.fields), namespace)
-        self._compiled_encode = namespace["_compiled_encode"]
-        # Bounded decode memo, keyed by payload bytes.  Each entry is
-        # ``[packed_int, values_cache, checksum_verified]``: the packed
-        # payload int (raw fields are shifted out of it lazily), a
-        # lazily filled physical-value cache, and whether the checksum
-        # has already been verified for this payload.  Multi-entry so the
-        # lockstep batch executor's interleaved encode/decode cycles
-        # (one per run) all stay memo-hits.
-        self._memo: Dict[bytes, list] = {}
-        self._memo_acc = 0
-        self._memo_values: Dict[str, float] = {}
+        exec(source, namespace)
+        return namespace[name]
+
+    def _require_known(self, names: Iterable[str]) -> None:
+        unknown = set(names) - self._names
+        if unknown:
+            raise KeyError(
+                f"unknown signals for message {self.message.name!r}: {sorted(unknown)}"
+            )
 
     # -- encode ----------------------------------------------------------
 
     def encode(self, values: Mapping[str, float], counter: int = 0) -> bytes:
         """Encode physical ``values`` into payload bytes (with checksum).
 
-        Runs the exec-compiled encoder, which also seeds the decode memo:
-        a frame we just encoded is by far the most likely frame to be
-        decoded next (the world reads back its own state frames and the
-        ADAS commands every step).
+        Also seeds the decode memo: a frame just encoded is by far the
+        most likely frame to be decoded next.
         """
-        return self._compiled_encode(self, values, counter)
+        return self._encode(values, counter)
+
+    def packer(
+        self, signals: Sequence[str], constants: Optional[Mapping[str, float]] = None
+    ) -> Callable[..., bytes]:
+        """Compile ``pack(counter, *values) -> bytes`` for one frame layout.
+
+        ``pack`` takes one physical value per name in ``signals``, in that
+        order.  The ``constants`` are packed once, here, into the int every
+        call starts from, and every other signal encodes as zero.  Its bytes
+        equal ``encode({**dict(zip(signals, values)), **constants}, counter)``
+        and, like :meth:`encode`, it seeds the decode memo.  This runs
+        ``exec``: compile once per layout and keep the function.
+        """
+        base = self.layout_base(signals, constants or {})
+        return self._compile(_packer_source(self.message, self.fields, signals, base), "pack")
+
+    def layout_base(self, signals: Sequence[str], constants: Mapping[str, float]) -> int:
+        """The packed int of a frame layout's ``constants``, which every
+        encode of the layout starts from (every other signal bit is zero).
+
+        Rejects a layout that names an unknown signal (``KeyError``), lists
+        ``COUNTER``/``CHECKSUM`` or names a signal twice (``ValueError``).
+        """
+        names = [*signals, *constants]
+        self._require_known(names)
+        if set(names) & set(_RESERVED):
+            raise ValueError("COUNTER/CHECKSUM are implicit and must not be listed")
+        if len(set(names)) != len(names):
+            raise ValueError(
+                f"a signal of message {self.message.name!r} is listed twice: {names}"
+            )
+        base = 0
+        for name, value in constants.items():
+            plan = self.fields[name]
+            base |= plan.signal.to_raw(value) << plan.shift
+        return base
 
     # -- decode ----------------------------------------------------------
 
-    def _refresh_memo(self, frame: CANFrame, check: bool) -> None:
-        """Point the memo at ``frame.data``, registering it on a miss."""
-        data = frame.data
+    def reader(self, signals: Sequence[str]) -> Callable[[CANFrame], Tuple[float, ...]]:
+        """Compile ``read(frame) -> tuple`` of the physical values of ``signals``.
+
+        The values equal ``decode(frame)[name]``.  A payload this plan
+        packed (or already verified) is read straight from its memo entry;
+        any other goes through :meth:`decode`'s length and checksum checks
+        first.  This runs ``exec``: compile once and keep the function.
+        """
+        self._require_known(signals)
+        return self._compile(_reader_source(self.fields, signals), "read")
+
+    def _lookup(self, data: bytes, check: bool) -> list:
+        """The memo entry for ``data``, registered on a miss, with its
+        checksum verified first when ``check`` is set."""
         message = self.message
-        entry = self._memo.get(data)
-        if entry is not None:
-            if check and message.checksummed and not entry[2]:
-                if not verify_checksum(message.address, data):
-                    raise ValueError(
-                        f"checksum mismatch on message {message.name!r} ({message.address:#x})"
-                    )
-                entry[2] = True
-            self._memo_acc = entry[0]
-            self._memo_values = entry[1]
-            return
-        if len(data) != message.length:
-            raise ValueError(
-                f"message {message.name!r} expects {message.length} bytes, "
-                f"frame has {len(data)}"
-            )
-        checked = False
-        if check and message.checksummed:
+        memo = self._memo
+        entry = memo.get(data)
+        if entry is None:
+            if len(data) != message.length:
+                raise ValueError(
+                    f"message {message.name!r} expects {message.length} bytes, "
+                    f"frame has {len(data)}"
+                )
+            entry = [int.from_bytes(data, "big"), not message.checksummed]
+            if len(memo) >= _MEMO_CAPACITY:
+                memo.clear()
+            memo[data] = entry
+        if check and not entry[1]:
             if not verify_checksum(message.address, data):
                 raise ValueError(
                     f"checksum mismatch on message {message.name!r} ({message.address:#x})"
                 )
-            checked = True
-        memo = self._memo
-        if len(memo) >= _MEMO_CAPACITY:
-            memo.clear()
-        acc = int.from_bytes(data, "big")
-        values: Dict[str, float] = {}
-        memo[data] = [acc, values, checked]
-        self._memo_acc = acc
-        self._memo_values = values
-
-    def _physical(self, name: str) -> float:
-        """Physical value of ``name`` for the memoized payload (lazy)."""
-        values = self._memo_values
-        value = values.get(name)
-        if value is None:
-            plan = self.fields[name]  # KeyError -> unknown signal
-            value = plan.to_physical((self._memo_acc >> plan.shift) & plan.mask)
-            values[name] = value
-        return value
+            entry[1] = True
+        return entry
 
     def decode(
         self, frame: CANFrame, check: bool = True, signals: Optional[Sequence[str]] = None
     ) -> Dict[str, float]:
         """Decode ``frame`` into physical values (optionally a subset)."""
-        self._refresh_memo(frame, check)
-        physical = self._physical
+        acc = self._lookup(frame.data, check)[0]
+        fields = self.fields
         try:
-            if signals is None:
-                return {name: physical(name) for name in self.fields}
-            return {name: physical(name) for name in signals}
+            plans = [fields[name] for name in (fields if signals is None else signals)]
         except KeyError as exc:
             raise KeyError(
                 f"message {self.message.name!r} has no signal named {exc.args[0]!r}"
             ) from None
+        return {plan.name: plan.to_physical((acc >> plan.shift) & plan.mask) for plan in plans}
 
     def decode_signal(self, frame: CANFrame, name: str, check: bool = True) -> float:
-        """Single-signal decode fast path."""
-        self._refresh_memo(frame, check)
+        """Single-signal decode."""
+        acc = self._lookup(frame.data, check)[0]
         try:
-            return self._physical(name)
+            plan = self.fields[name]
         except KeyError:
             raise KeyError(
                 f"message {self.message.name!r} has no signal named {name!r}"
             ) from None
+        return plan.to_physical((acc >> plan.shift) & plan.mask)
+
+
+class FrameLayout:
+    """One sender's per-step use of a message, declared once.
+
+    Args:
+        plan: The message's compiled plan.
+        signals: The signals that vary per step, in the order :attr:`pack`
+            takes their values.
+        constants: Signals that carry the same physical value every step.
+        integral: Those of ``signals`` whose values are always exact small
+            non-negative integers (0/1 request bits).  Only the vectorised
+            :class:`~repro.can.batch_codec.BatchMessageCodec` uses this, to
+            skip their rounding.
+        reads: The signals the receiver reads back each step, in the order
+            :attr:`read` returns them.
+
+    :attr:`pack` and :attr:`read` are compiled here, once.  The lockstep
+    batch executor builds its vectorised codecs from the same layouts, so
+    the scalar and the vectorised cycle cannot disagree on a frame.
+    """
+
+    __slots__ = ("plan", "signals", "constants", "integral", "reads", "pack", "read")
+
+    def __init__(
+        self,
+        plan: MessagePlan,
+        signals: Sequence[str],
+        constants: Optional[Mapping[str, float]] = None,
+        integral: Sequence[str] = (),
+        reads: Sequence[str] = (),
+    ):
+        self.plan = plan
+        self.signals = tuple(signals)
+        self.constants = dict(constants or {})
+        self.integral = tuple(integral)
+        self.reads = tuple(reads)
+        self.pack = plan.packer(self.signals, self.constants)
+        self.read = plan.reader(self.reads)
 
 
 class DBC:
@@ -483,5 +609,5 @@ class DBC:
         return self.plan_by_address(frame.address).decode(frame, check=check, signals=signals)
 
     def decode_signal(self, frame: CANFrame, name: str, check: bool = True) -> float:
-        """Decode a single signal from ``frame`` (fast path for hot callers)."""
+        """Decode a single signal from ``frame``."""
         return self.plan_by_address(frame.address).decode_signal(frame, name, check=check)

@@ -15,7 +15,7 @@ the properties the attack depends on: a scaled physical signal, a rolling
 counter, and a 4-bit checksum that must be recomputed after tampering.
 """
 
-from repro.can.dbc import DBC, MessageDef, Signal
+from repro.can.dbc import DBC, FrameLayout, MessageDef, Signal
 
 # Arbitration ids (powertrain bus 0).
 ADDR = {
@@ -90,4 +90,45 @@ STEERING_SENSORS = MessageDef(
 HONDA_DBC = DBC(
     "honda_civic_touring_2016_can_generated",
     [STEERING_CONTROL, ACC_CONTROL, POWERTRAIN_DATA, STEERING_SENSORS],
+)
+
+# The four frames of every 10 ms control cycle, declared once: the
+# signals each sender varies per step (in ``pack`` argument order), the
+# ones it holds constant, and the ones its receiver reads back (in
+# ``read`` tuple order).  The scalar stages pack and read through these
+# layouts; the lockstep batch executor builds its vectorised codecs from
+# them.  ``integral`` marks the 0/1 request bits.
+
+#: Car -> ADAS: measured speed, acceleration and pedal state.
+POWERTRAIN_LAYOUT = FrameLayout(
+    HONDA_DBC.plan_by_name("POWERTRAIN_DATA"),
+    ("XMISSION_SPEED", "ACCEL_MEASURED", "PEDAL_GAS", "BRAKE_PRESSED"),
+    constants={"GAS_PRESSED": 0.0},
+    integral=("BRAKE_PRESSED",),
+    reads=("XMISSION_SPEED", "ACCEL_MEASURED"),
+)
+
+#: Car -> ADAS: measured steering wheel angle.
+STEERING_SENSORS_LAYOUT = FrameLayout(
+    HONDA_DBC.plan_by_name("STEERING_SENSORS"),
+    ("STEER_ANGLE",),
+    constants={"STEER_ANGLE_RATE": 0.0},
+    reads=("STEER_ANGLE",),
+)
+
+#: ADAS -> EPS: commanded steering angle and torque.
+STEERING_CONTROL_LAYOUT = FrameLayout(
+    HONDA_DBC.plan_by_name("STEERING_CONTROL"),
+    ("STEER_ANGLE_CMD", "STEER_TORQUE"),
+    constants={"STEER_REQUEST": 1.0},
+    reads=("STEER_ANGLE_CMD",),
+)
+
+#: ADAS -> PCM: commanded acceleration and braking.
+ACC_CONTROL_LAYOUT = FrameLayout(
+    HONDA_DBC.plan_by_name("ACC_CONTROL"),
+    ("ACCEL_COMMAND", "BRAKE_COMMAND", "BRAKE_REQUEST"),
+    constants={"ACC_ON": 1.0},
+    integral=("BRAKE_REQUEST",),
+    reads=("ACCEL_COMMAND", "BRAKE_COMMAND"),
 )

@@ -52,7 +52,7 @@ Tiers
 -----
 
 Vectorising pays a fixed numpy dispatch cost per cycle, so each cycle
-runs on the cheapest of three tiers:
+picks one of three tiers by its row count:
 
 * **dense** — at least ``DENSE_MIN_ACTIVE`` (~32) dense rows: the SoA
   plan/actuate/detect columns run for the dense prefix;
@@ -60,13 +60,14 @@ runs on the cheapest of three tiers:
   columns with the batched CAN codec, plan/actuate/detect per row;
 * **scalar** — fewer active rows: every row's own scalar stages.
 
-Each threshold sits inside the band of widths where
+``DENSE_MIN_ACTIVE`` sits inside the band of widths where
 ``python benchmarks/profile_run.py --crossover`` sees the two tiers
-trade places (the constants' comments give the figures), so a default
-16-wide batch runs the fused tier and only wide batches of uniform runs
-reach the dense one.  The tier can change every cycle as rows demote,
-retire and refill; the hand-offs (``_flush_traffic``, ``_detect_stale``,
-``ph_fresh``) keep every switch bit-exact.
+trade places; ``FUSED_MIN_ACTIVE`` currently sits below the measured
+fused/scalar band (the constants' comments give the figures).  A
+default 16-wide batch runs the fused tier and only wide batches of
+uniform runs reach the dense one.  The tier can change every cycle as
+rows demote, retire and refill; the hand-offs (``_flush_traffic``,
+``_detect_stale``, ``ph_fresh``) keep every switch bit-exact.
 
 Equivalence
 -----------
@@ -99,7 +100,12 @@ from repro.adas.openpilot import apply_output_limit_columns
 from repro.analysis.hazards import HazardType
 from repro.analysis.metrics import RunResult
 from repro.can.batch_codec import BatchMessageCodec
-from repro.can.honda import HONDA_DBC
+from repro.can.honda import (
+    ACC_CONTROL_LAYOUT,
+    POWERTRAIN_LAYOUT,
+    STEERING_CONTROL_LAYOUT,
+    STEERING_SENSORS_LAYOUT,
+)
 from repro.kernel.context import StepContext
 from repro.kernel.stages import DriveStage
 from repro.sim.units import DT
@@ -134,13 +140,18 @@ DEFAULT_BATCH_SIZE = 16
 #:
 #: Fewer than ``FUSED_MIN_ACTIVE`` active runs take the per-run scalar
 #: stages: the fused codec's encodes cost the same per cycle at any
-#: width, so they pay only once enough rows share them.  Fused against
-#: scalar with the dense columns off: 123.0 against 77.1 at 4 rows, 95.6
-#: against 103.6 at 10, 87.1 against 102.4 at 12.  The two tiers traded
-#: places between 6 and 10 rows; 8 is the middle of that band, where
-#: they were within 10 % either way (scalar ahead in two sweeps of
-#: three).  End to end, the benchmark's paper campaign (batch 16) could
-#: not tell a threshold of 8 from one of 10.
+#: width, so they pay only once enough rows share them.  Since the scalar
+#: stages pack and read their frames through the compiled layouts of
+#: ``repro.can.honda``, the scalar tier was the cheaper one at every
+#: width up to 10 rows in all three sweeps.  Fused against scalar with
+#: the dense columns off: 124.2 against 73.8 at 4 rows, 71.0 against
+#: 64.7 at 8, 63.2 against 63.0 at 10, 70.1 against 60.6 at 12.  Scalar
+#: was ahead at 8 rows by about 10 % in each sweep, and fused won only at 12
+#: rows in one sweep of three, so the band where the two trade places
+#: starts at 12 rows or beyond the sweep.  The threshold stays at 8:
+#: raising it changes the paper campaign's 16-wide batches, and four
+#: end-to-end pairs could not tell a threshold of 32 (no fused cycles at
+#: all there) from 8.
 FUSED_MIN_ACTIVE = 8
 
 #: Fewer than ``DENSE_MIN_ACTIVE`` *dense* rows run the per-run scalar
@@ -926,34 +937,22 @@ class BatchRunner:
             self._detect_column,
             self._record_column,
         )
-        # The signal sets mirror the scalar call sites exactly; signals the
-        # scalar code passes as constants are folded into the accumulator
-        # base, and the 0/1 request bits take the integral fast path.
-        self._powertrain = BatchMessageCodec(
-            HONDA_DBC.plan_by_name("POWERTRAIN_DATA"),
-            ("XMISSION_SPEED", "ACCEL_MEASURED", "PEDAL_GAS", "BRAKE_PRESSED"),
-            batch_size,
-            constants={"GAS_PRESSED": 0.0},
-            integral=("BRAKE_PRESSED",),
-        )
-        self._steering_sensors = BatchMessageCodec(
-            HONDA_DBC.plan_by_name("STEERING_SENSORS"),
-            ("STEER_ANGLE",),
-            batch_size,
-            constants={"STEER_ANGLE_RATE": 0.0},
-        )
-        self._steering_control = BatchMessageCodec(
-            HONDA_DBC.plan_by_name("STEERING_CONTROL"),
-            ("STEER_ANGLE_CMD", "STEER_TORQUE"),
-            batch_size,
-            constants={"STEER_REQUEST": 1.0},
-        )
-        self._acc_control = BatchMessageCodec(
-            HONDA_DBC.plan_by_name("ACC_CONTROL"),
-            ("ACCEL_COMMAND", "BRAKE_COMMAND", "BRAKE_REQUEST"),
-            batch_size,
-            constants={"ACC_ON": 1.0},
-            integral=("BRAKE_REQUEST",),
+        # Built from the layouts the scalar stages pack with, so both
+        # cycles put the same signals and constants into every frame.
+        self._powertrain, self._steering_sensors, self._steering_control, self._acc_control = (
+            BatchMessageCodec(
+                layout.plan,
+                layout.signals,
+                batch_size,
+                constants=layout.constants,
+                integral=layout.integral,
+            )
+            for layout in (
+                POWERTRAIN_LAYOUT,
+                STEERING_SENSORS_LAYOUT,
+                STEERING_CONTROL_LAYOUT,
+                ACC_CONTROL_LAYOUT,
+            )
         )
 
     # -- partition maintenance ---------------------------------------------

@@ -23,7 +23,13 @@ import numpy as np
 
 from repro.can.bus import CANBus
 from repro.can.frame import CANFrame
-from repro.can.honda import ADDR, HONDA_DBC
+from repro.can.honda import (
+    ACC_CONTROL_LAYOUT,
+    ADDR,
+    POWERTRAIN_LAYOUT,
+    STEERING_CONTROL_LAYOUT,
+    STEERING_SENSORS_LAYOUT,
+)
 from repro.messaging.bus import MessageBus
 from repro.messaging.messages import CarState
 from repro.sim.actors import FollowerVehicle, LeadVehicle, ScriptedVehicle
@@ -173,16 +179,18 @@ class World:
         self._can_counter = 0
         self._last_command = ActuatorCommand()
 
-        # Hot-path caches: resolve the arbitration ids and compiled codec
-        # plans once instead of a dict lookup per call.
+        # Hot-path caches: resolve the arbitration ids and the compiled
+        # frame packers and readers once instead of a lookup per call.
         self._addr_powertrain = ADDR["POWERTRAIN_DATA"]
         self._addr_steering_sensors = ADDR["STEERING_SENSORS"]
         self._addr_steering_control = ADDR["STEERING_CONTROL"]
         self._addr_acc_control = ADDR["ACC_CONTROL"]
-        self._plan_powertrain = HONDA_DBC.plan_by_address(self._addr_powertrain)
-        self._plan_steering_sensors = HONDA_DBC.plan_by_address(self._addr_steering_sensors)
-        self._plan_steering_control = HONDA_DBC.plan_by_address(self._addr_steering_control)
-        self._plan_acc_control = HONDA_DBC.plan_by_address(self._addr_acc_control)
+        self._pack_powertrain = POWERTRAIN_LAYOUT.pack
+        self._pack_steering_sensors = STEERING_SENSORS_LAYOUT.pack
+        self._read_powertrain = POWERTRAIN_LAYOUT.read
+        self._read_steering_sensors = STEERING_SENSORS_LAYOUT.read
+        self._read_steering_control = STEERING_CONTROL_LAYOUT.read
+        self._read_acc_control = ACC_CONTROL_LAYOUT.read
 
     def _select_lead(self) -> Optional[ScriptedVehicle]:
         """The closest scripted vehicle ahead of the ego in the ego lane.
@@ -272,23 +280,8 @@ class World:
         """
         speed, accel, pedal_gas, brake_pressed, steer, counter = self.batched_car_can_inputs()
         self.send_car_can_frames(
-            self._plan_powertrain.encode(
-                {
-                    "XMISSION_SPEED": speed,
-                    "ACCEL_MEASURED": accel,
-                    "PEDAL_GAS": pedal_gas,
-                    "BRAKE_PRESSED": brake_pressed,
-                    "GAS_PRESSED": 0.0,
-                },
-                counter=counter,
-            ),
-            self._plan_steering_sensors.encode(
-                {
-                    "STEER_ANGLE": steer,
-                    "STEER_ANGLE_RATE": 0.0,
-                },
-                counter=counter,
-            ),
+            self._pack_powertrain(counter, speed, accel, pedal_gas, brake_pressed),
+            self._pack_steering_sensors(counter, steer),
         )
 
     # -- car-state CAN semantics (shared scalar / lockstep-batch path) ----
@@ -306,8 +299,9 @@ class World:
         """Advance the CAN counter and return this step's car-state signal values.
 
         Returns ``(speed, accel, pedal_gas, brake_pressed, steer_angle,
-        counter)`` — exactly the values :meth:`publish_car_can` would
-        encode (the remaining signals are constant zero).
+        counter)`` — exactly the values :meth:`publish_car_can` packs into
+        :data:`~repro.can.honda.POWERTRAIN_LAYOUT` and
+        :data:`~repro.can.honda.STEERING_SENSORS_LAYOUT`.
         """
         state = self.ego.state
         self._can_counter = (self._can_counter + 1) & 0x3
@@ -369,13 +363,9 @@ class World:
         powertrain = self.can_bus.latest(self._addr_powertrain)
         sensors = self.can_bus.latest(self._addr_steering_sensors)
         if powertrain is not None:
-            decoded = self._plan_powertrain.decode(
-                powertrain, signals=("XMISSION_SPEED", "ACCEL_MEASURED")
-            )
-            speed = decoded["XMISSION_SPEED"]
-            accel = decoded["ACCEL_MEASURED"]
+            speed, accel = self._read_powertrain(powertrain)
         if sensors is not None:
-            steer = self._plan_steering_sensors.decode_signal(sensors, "STEER_ANGLE")
+            (steer,) = self._read_steering_sensors(sensors)
         return self.apply_fused_car_state(out, speed, accel, steer)
 
     # -- actuation --------------------------------------------------------
@@ -403,15 +393,11 @@ class World:
         out.brake = last.brake
         out.steering_angle_deg = last.steering_angle_deg
         if acc_frame is not None:
-            decoded = self._plan_acc_control.decode(
-                acc_frame, signals=("ACCEL_COMMAND", "BRAKE_COMMAND")
-            )
-            out.accel = max(0.0, decoded["ACCEL_COMMAND"])
-            out.brake = max(0.0, decoded["BRAKE_COMMAND"])
+            accel, brake = self._read_acc_control(acc_frame)
+            out.accel = max(0.0, accel)
+            out.brake = max(0.0, brake)
         if steering_frame is not None:
-            out.steering_angle_deg = self._plan_steering_control.decode_signal(
-                steering_frame, "STEER_ANGLE_CMD"
-            )
+            (out.steering_angle_deg,) = self._read_steering_control(steering_frame)
         return out
 
     def integrate(self, command: ActuatorCommand) -> None:

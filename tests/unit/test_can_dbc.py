@@ -54,6 +54,10 @@ class TestMessageDef:
         with pytest.raises(ValueError):
             MessageDef("M", 0x100, 9)
 
+    def test_overlapping_signals_rejected(self):
+        with pytest.raises(ValueError, match="overlaps"):
+            MessageDef("M", 0x100, 2, {"A": Signal("A", 0, 8), "B": Signal("B", 7, 4)})
+
 
 class TestDBCEncodeDecode:
     def test_steering_round_trip(self):
