@@ -1,12 +1,13 @@
 """Perf-regression gate for CI.
 
-Compares a freshly measured ``BENCH_throughput.json`` against the
-baseline committed in the repository and fails (exit code 1) when the
-single-run step throughput regressed more than the allowed fraction::
+Compares a freshly measured ``BENCH_throughput.fresh.json`` (written by
+``benchmarks/test_bench_throughput.py``) against the baseline committed
+in the repository and fails (exit code 1) when the single-run step
+throughput regressed more than the allowed fraction::
 
     PYTHONPATH=src python benchmarks/check_regression.py \
-        --baseline /tmp/bench_baseline.json \
-        --current BENCH_throughput.json \
+        --baseline BENCH_throughput.json \
+        --current BENCH_throughput.fresh.json \
         --max-regression 0.20
 
 CI runners are noisy, so the gate only guards the single-run steps/s
@@ -59,7 +60,9 @@ RATE_GATES = (
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True, help="committed BENCH_throughput.json")
-    parser.add_argument("--current", required=True, help="freshly measured BENCH_throughput.json")
+    parser.add_argument(
+        "--current", required=True, help="freshly measured BENCH_throughput.fresh.json"
+    )
     parser.add_argument(
         "--max-regression",
         type=float,

@@ -16,6 +16,7 @@ Each control cycle the :class:`OpenPilot` object
    ``ACC_CONTROL``) and sends them on the CAN bus.
 """
 
+from copy import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List
 
@@ -73,7 +74,7 @@ class OpenPilot:
         self.message_bus = message_bus
         self.can_bus = can_bus
 
-        self.sub_master = SubMaster(message_bus, ["modelV2", "radarState", "gpsLocationExternal"])
+        self.sub_master = SubMaster(message_bus, ["modelV2", "radarState"])
         self.pub_master = PubMaster(
             message_bus,
             ["carControl", "controlsState", "alertEvent", "driverMonitoringState", "carState"],
@@ -97,13 +98,6 @@ class OpenPilot:
         self._addr_acc_control = ADDR["ACC_CONTROL"]
         self._pack_steering_control = STEERING_CONTROL_LAYOUT.pack
         self._pack_acc_control = ACC_CONTROL_LAYOUT.pack
-        # Reused 100 Hz payloads: bus payloads are shared and treated as
-        # immutable by subscribers (see repro.messaging.messages), so the
-        # publisher refreshes one instance per service instead of
-        # constructing a new payload every cycle.
-        self._actuators = Actuators()
-        self._car_control = CarControl(actuators=self._actuators)
-        self._controls_state = ControlsState()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -228,13 +222,17 @@ class OpenPilot:
         half; the lockstep batch executor calls this per row and then
         runs the planner arithmetic as vectorised columns.
         """
-        self.sub_master.update()
         model = self.sub_master["modelV2"]
         radar = self.sub_master["radarState"]
 
         dm_state = self.driver_monitoring.update(time, dt)
-        self.pub_master.send("driverMonitoringState", dm_state)
-        self.pub_master.send("carState", car_state)
+        if self._heard("driverMonitoringState"):
+            # A changed state is a new object (DriverMonitoring.update),
+            # so a retained event keeps its values.
+            self.pub_master.send("driverMonitoringState", dm_state)
+        if self._heard("carState"):
+            # The kernel refreshes one car state in place every cycle.
+            self.pub_master.send("carState", copy(car_state))
         return model, radar
 
     # -- cycle internals ---------------------------------------------------
@@ -314,14 +312,19 @@ class OpenPilot:
         for alert in new_alerts:
             self.pub_master.send("alertEvent", alert.to_event())
 
-        actuators = self._actuators
-        actuators.accel = command.accel
-        actuators.brake = -command.brake
-        actuators.steering_angle_deg = command.steering_angle_deg
-        actuators.steer_torque = clamp(command.steering_angle_deg / 100.0, -1.0, 1.0)
-        car_control = self._car_control
-        car_control.enabled = self._engaged
-        self.pub_master.send("carControl", car_control)
+        if self._heard("carControl"):
+            actuators = Actuators(
+                accel=command.accel,
+                brake=-command.brake,
+                steering_angle_deg=command.steering_angle_deg,
+                steer_torque=clamp(command.steering_angle_deg / 100.0, -1.0, 1.0),
+            )
+            self.pub_master.send(
+                "carControl", CarControl(enabled=self._engaged, actuators=actuators)
+            )
+
+        if not self._heard("controlsState"):
+            return command, new_alerts
         if new_alerts:
             fcw = any(alert.name == "fcw" for alert in new_alerts)
             alert_text = new_alerts[-1].text
@@ -334,21 +337,34 @@ class OpenPilot:
             alert_text = ""
             alert_type = ""
             alert_status = "normal"
-        controls_state = self._controls_state
-        controls_state.enabled = True
-        controls_state.active = self._engaged
-        controls_state.v_cruise = car_state.cruise_speed
-        controls_state.v_target = long_plan.v_target
-        controls_state.a_target = long_plan.desired_accel
-        controls_state.curvature = lat_plan.desired_curvature
-        controls_state.steer_saturated = lat_plan.saturated
-        controls_state.fcw = fcw
-        controls_state.alert_text = alert_text
-        controls_state.alert_type = alert_type
-        controls_state.alert_status = alert_status
-        self.pub_master.send("controlsState", controls_state)
+        self.pub_master.send(
+            "controlsState",
+            ControlsState(
+                enabled=True,
+                active=self._engaged,
+                v_cruise=car_state.cruise_speed,
+                v_target=long_plan.v_target,
+                a_target=long_plan.desired_accel,
+                curvature=lat_plan.desired_curvature,
+                steer_saturated=lat_plan.saturated,
+                fcw=fcw,
+                alert_text=alert_text,
+                alert_type=alert_type,
+                alert_status=alert_status,
+            ),
+        )
 
         return command, new_alerts
+
+    def _heard(self, service: str) -> bool:
+        """Whether a publish on ``service`` is observed
+        (:meth:`MessageBus.heard`).  An unheard publish is accounted for
+        here: only the service's sequence number advances."""
+        bus = self.message_bus
+        if bus.heard(service):
+            return True
+        bus.skip(service)
+        return False
 
     def _send_can(self, time: float, command: ActuatorCommand) -> None:
         """Pack and send the actuator command frames on the CAN bus."""

@@ -14,10 +14,10 @@ from typing import Optional
 import numpy as np
 
 from repro.core.attack_types import AttackSpec, AttackType, spec_for
-from repro.core.context_matcher import ContextMatcher
+from repro.core.context_matcher import ContextMatcher, DeferredMatches
 from repro.core.context_table import ContextTable, default_context_table
 from repro.core.corruption import CorruptionLimits, ValueCorruptor
-from repro.core.eavesdropper import Eavesdropper
+from repro.core.eavesdropper import EavesdroppedData, Eavesdropper
 from repro.core.state_inference import InferredContext, StateInference
 from repro.core.strategies import AttackStrategy
 from repro.messaging.bus import MessageBus
@@ -109,6 +109,7 @@ class AttackEngine:
 
         self.record = AttackRecord(attack_type=attack_type, strategy_name=strategy.name)
         self.last_context: Optional[InferredContext] = None
+        self._snapshot: Optional[EavesdroppedData] = None
 
         self._active = False
         self._finished = False
@@ -139,20 +140,37 @@ class AttackEngine:
     def output_hook(
         self, time: float, command: ActuatorCommand, car_state: CarState
     ) -> ActuatorCommand:
-        """Inspect the system state and, when appropriate, corrupt the command."""
+        """Inspect the system state and, when appropriate, corrupt the command.
+
+        Work follows the sensors, not the 100 Hz poll: the state
+        inference re-runs only when the eavesdropper delivered a fresh
+        snapshot (a new object), and otherwise only ``time`` of the
+        previous context is refreshed, so ``last_context`` always equals
+        what :meth:`StateInference.infer` would return for this poll.
+        The context rules are evaluated only if a strategy that can
+        still activate reads its matches: never once the attack is
+        active or finished or the driver has taken over, and not before
+        a timer strategy's start time.  The speed filter sees every
+        poll, as its state depends on each observation.
+        """
         snapshot = self.eavesdropper.snapshot(time)
-        context = self.inference.infer(snapshot)
-        self.last_context = context
+        context = self.last_context
+        if snapshot is self._snapshot and context is not None:
+            context.time = time
+        else:
+            self._snapshot = snapshot
+            context = self.last_context = self.inference.infer(snapshot)
         if context.valid:
             self.corruptor.observe_speed(context.v_ego)
-        matches = self.matcher.match(context) if context.valid else []
 
         if self._driver_engaged:
             self._deactivate(time)
             return command
 
         if not self._active and not self._finished:
-            decision = self.strategy.should_activate(time, self.spec, matches)
+            decision = self.strategy.should_activate(
+                time, self.spec, DeferredMatches(self.matcher, context)
+            )
             if decision.activate:
                 self._active = True
                 self._steer_direction = decision.steer_direction

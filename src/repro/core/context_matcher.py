@@ -5,6 +5,7 @@ table and reports which rules — and therefore which unsafe control
 actions — are currently applicable.
 """
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -40,19 +41,16 @@ class ContextMatcher:
         """
         self.table = table
         self.min_speed = min_speed
-        self.match_history: List[ContextMatch] = []
 
     def match(self, context: InferredContext) -> List[ContextMatch]:
         """Return all rules matched by ``context`` (may be empty)."""
         if not context.valid or context.v_ego < self.min_speed:
             return []
-        matches = [
+        return [
             ContextMatch(rule=rule, time=context.time)
             for rule in self.table
             if rule.condition(context)
         ]
-        self.match_history.extend(matches)
-        return matches
 
     def match_for_actions(
         self, context: InferredContext, actions: Sequence[ControlAction]
@@ -62,3 +60,37 @@ class ContextMatcher:
             if match.action in actions:
                 return match
         return None
+
+
+class DeferredMatches(SequenceABC):
+    """The matches of one context, evaluated on first access.
+
+    The attack engine hands one to
+    :meth:`~repro.core.strategies.AttackStrategy.should_activate` on each
+    poll, so a strategy that never reads its matches (a timer strategy
+    before its start time, or activating without a steering choice)
+    costs no rule evaluation.  Like the context it wraps, it is consumed
+    during that call: read it there, don't retain it.
+    """
+
+    __slots__ = ("_matcher", "_context", "_matches")
+
+    def __init__(self, matcher: ContextMatcher, context: InferredContext):
+        self._matcher = matcher
+        self._context = context
+        self._matches: Optional[List[ContextMatch]] = None
+
+    def _evaluate(self) -> List[ContextMatch]:
+        matches = self._matches
+        if matches is None:
+            matches = self._matches = self._matcher.match(self._context)
+        return matches
+
+    def __len__(self) -> int:
+        return len(self._evaluate())
+
+    def __getitem__(self, index):
+        return self._evaluate()[index]
+
+    def __iter__(self):
+        return iter(self._evaluate())

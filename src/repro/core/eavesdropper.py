@@ -22,9 +22,11 @@ class EavesdroppedData:
     """The raw state information the attacker has collected so far.
 
     A snapshot is produced on every attacker control cycle and consumed
-    immediately by the state inference; consumers must not retain or
-    mutate instances (the eavesdropper reuses the previous snapshot,
-    refreshing only ``time``, on cycles where no new message arrived).
+    immediately; consumers must not retain or mutate instances.  On
+    cycles where no new message arrived the eavesdropper returns the
+    previous snapshot with only ``time`` refreshed, so the identity of
+    the returned object tells a consumer whether anything changed: the
+    attack engine re-runs the state inference only on a new object.
     """
 
     time: float
@@ -61,9 +63,10 @@ class Eavesdropper:
         The attacker polls at the 100 Hz control rate but the sensors
         publish at 10–20 Hz, so most polls deliver no new message; in that
         case only the timestamp of the previous snapshot has changed and
-        the object is updated in place instead of being rebuilt (snapshots
-        are consumed immediately by the state inference and never
-        retained, see :class:`EavesdroppedData`).
+        the *same object* is returned with ``time`` updated in place.  A
+        poll that delivered anything returns a new object.  Callers may
+        rely on that identity to skip work derived from an unchanged
+        snapshot (see :meth:`repro.core.attack_engine.AttackEngine.output_hook`).
         """
         fresh = self._sub_master.update()
         self.messages_seen += fresh

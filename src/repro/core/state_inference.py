@@ -15,9 +15,17 @@ from dataclasses import dataclass
 from repro.core.eavesdropper import EavesdroppedData
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InferredContext:
-    """The attacker's inferred safety-relevant state."""
+    """The attacker's inferred safety-relevant state.
+
+    Same contract as :class:`~repro.core.eavesdropper.EavesdroppedData`:
+    consume a context when it is handed over, never retain or mutate
+    it.  The attack engine re-infers only when the eavesdropper delivered
+    a fresh snapshot and otherwise refreshes ``time`` of the previous
+    context in place, so every poll sees exactly what :meth:`infer`
+    would return for it.
+    """
 
     time: float
     valid: bool                      # False until all needed messages have arrived

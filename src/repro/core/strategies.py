@@ -35,6 +35,11 @@ class ActivationDecision:
     reason: str = ""
 
 
+#: The shared "not now" decision (decisions are frozen, so one instance
+#: serves every poll that does not activate).
+NO_ACTIVATION = ActivationDecision(activate=False)
+
+
 class AttackStrategy:
     """Base class for attack strategies."""
 
@@ -51,7 +56,12 @@ class AttackStrategy:
     def should_activate(
         self, time: float, spec: AttackSpec, matches: Sequence[ContextMatch]
     ) -> ActivationDecision:
-        """Decide whether to activate the attack at ``time``."""
+        """Decide whether to activate the attack at ``time``.
+
+        ``matches`` are the context rules matched at ``time``.  The
+        attack engine evaluates them only if the strategy reads them, so
+        read them during this call or not at all.
+        """
         raise NotImplementedError
 
     def should_deactivate(
@@ -94,7 +104,7 @@ class NoAttackStrategy(AttackStrategy):
     context_triggered = False
 
     def should_activate(self, time, spec, matches) -> ActivationDecision:
-        return ActivationDecision(activate=False)
+        return NO_ACTIVATION
 
     def should_deactivate(self, time, activation_time, hazard_occurred) -> bool:
         return True
@@ -127,7 +137,7 @@ class RandomStartDurationStrategy(AttackStrategy):
         if self.start_time is None:
             raise RuntimeError("strategy used before prepare()")
         if time < self.start_time:
-            return ActivationDecision(activate=False)
+            return NO_ACTIVATION
         direction = self._resolve_steer_direction(spec, matches, None, self._steer_default)
         return ActivationDecision(activate=True, steer_direction=direction, reason="timer")
 
@@ -169,7 +179,7 @@ class RandomDurationStrategy(AttackStrategy):
             raise RuntimeError("strategy used before prepare()")
         relevant = [match for match in matches if match.action in spec.actions]
         if not relevant:
-            return ActivationDecision(activate=False)
+            return NO_ACTIVATION
         direction = self._resolve_steer_direction(spec, relevant, None, self._steer_default)
         return ActivationDecision(
             activate=True,
@@ -229,7 +239,7 @@ class ContextAwareStrategy(AttackStrategy):
     def should_activate(self, time, spec, matches) -> ActivationDecision:
         relevant = [match for match in matches if match.action in spec.actions]
         if not relevant:
-            return ActivationDecision(activate=False)
+            return NO_ACTIVATION
         direction = self._resolve_steer_direction(spec, relevant, None, self._steer_default)
         return ActivationDecision(
             activate=True,

@@ -13,11 +13,18 @@ cannot grow memory without bound.
 Hot-path envelope reuse
 -----------------------
 
-``publish`` runs ~4–5 times per 10 ms control step, and most of those
-services have either no subscriber at all or only *conflated*
-subscribers (the attack's eavesdropper), whose contract is "the latest
-message" — nothing observes the previous envelope once a newer one has
-been published.  For those services the bus therefore keeps **one
+On a 10 ms control step the sensors publish at 10–20 Hz (about 0.5
+``publish`` calls per step) plus the occasional alert.  The ADAS's own
+100 Hz services are published only when :meth:`MessageBus.heard` (a
+subscriber or a tap), each time with a fresh payload; a publish nobody
+would observe only advances the service's sequence number
+(:meth:`MessageBus.skip`), so :meth:`MessageBus.publication_count` and
+every later ``Event.seq`` are the same whether or not anyone listens.
+
+Most published services have only *conflated* subscribers (the
+attack's eavesdropper), whose contract is "the latest message" —
+nothing observes the previous envelope once a newer one has been
+published.  For those services the bus therefore keeps **one
 reusable** :class:`Event` per service and overwrites its fields in place
 on every publish, instead of allocating a fresh envelope per message
 (the same slots-reuse pattern as the sensor payloads).  The moment a
@@ -123,10 +130,24 @@ class MessageBus:
         """Register a callback invoked for every published event."""
         self._taps.append(callback)
 
+    def heard(self, service: str) -> bool:
+        """Whether a publish on ``service`` would be observed right now:
+        the service has a subscriber or the bus has a tap."""
+        return bool(self._taps or self._subscriptions.get(service))
+
+    def skip(self, service: str) -> None:
+        """Account for a publish on a service that is not :meth:`heard`.
+
+        Advances the sequence number and nothing else: no payload, no
+        envelope, no delivery.
+        """
+        self._seq[service] = self._seq.get(service, 0) + 1
+
     def publish(self, service: str, payload: object, valid: bool = True) -> Event:
         """Publish ``payload`` on ``service`` and deliver it to subscribers."""
-        # Inline fast path of validate_payload (publish runs ~5 times per
-        # 10 ms control step); the slow path raises the detailed error.
+        # Inline fast path of validate_payload (publish runs on every
+        # sensor and alert message); the slow path raises the detailed
+        # error.
         spec = SERVICE_LIST.get(service)
         if spec is None or not isinstance(payload, spec.payload_type):
             validate_payload(service, payload)

@@ -1,10 +1,14 @@
 """End-to-end simulation tests: world + ADAS + attack engine + driver."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.core.attack_types import AttackType
 from repro.core.strategies import ContextAwareStrategy, RandomStartDurationStrategy
 from repro.injection import SimulationConfig, run_simulation
+from repro.injection.engine import Simulation
+from repro.messaging.log import MessageLog
 
 
 def config(**kwargs):
@@ -133,3 +137,24 @@ class TestRandomStrategies:
         )
         assert result.accident_occurred
         assert result.duration < 45.0
+
+
+class TestMessageLogOfARun:
+    def test_logged_adas_payloads_keep_their_cycle_values(self):
+        # The kernel refreshes one car state in place every cycle; a
+        # message log must still see every cycle's values.
+        sim = Simulation(SimulationConfig(scenario="S1", seed=0, max_steps=300))
+        log = MessageLog().attach(sim.message_bus)
+        at_publish = []
+        sim.message_bus.add_tap(
+            lambda event: at_publish.append((event.service, astuple(event.data)))
+        )
+        result = sim.run()
+
+        assert [(event.service, astuple(event.data)) for event in log] == at_publish
+        for service in ("carState", "carControl", "controlsState", "driverMonitoringState"):
+            assert log.count(service) == 300
+        for service in ("carState", "carControl", "controlsState"):
+            assert len({id(event.data) for event in log.by_service(service)}) == 300
+        assert log.by_service("carState")[0].data.v_ego == pytest.approx(26.82, abs=0.05)
+        assert result == run_simulation(SimulationConfig(scenario="S1", seed=0, max_steps=300))

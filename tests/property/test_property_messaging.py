@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adas.limits import SafetyLimits
+from repro.adas.openpilot import OpenPilot, OpenPilotConfig
+from repro.can.bus import CANBus
 from repro.messaging.bus import MessageBus
 from repro.messaging.messages import CarState
+
+#: The services the ADAS publishes every 10 ms cycle.
+ADAS_SERVICES = ("driverMonitoringState", "carState", "carControl", "controlsState")
 
 
 class TestBusProperties:
@@ -29,6 +34,41 @@ class TestBusProperties:
         seqs = [event.seq for event in sub.drain()[-1024:]]
         assert seqs == sorted(seqs)
         assert bus.publication_count("carState") == count
+
+
+class TestAudienceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        audience=st.sampled_from(("none", "conflated", "queued", "tap")),
+        cycles=st.integers(min_value=1, max_value=40),
+        tap_at=st.integers(min_value=0, max_value=39),
+    )
+    def test_adas_sequence_numbers_independent_of_audience(self, audience, cycles, tap_at):
+        """Whoever listens, each ADAS service counts one publication per
+        cycle, so a late subscriber sees the same first ``seq``."""
+        bus = MessageBus()
+        openpilot = OpenPilot(OpenPilotConfig(), bus, CANBus())
+        if audience in ("conflated", "queued"):
+            for service in ADAS_SERVICES:
+                bus.subscribe(service, conflate=audience == "conflated")
+        tap_at = min(tap_at, cycles - 1)
+        tapped = []
+        for cycle in range(cycles):
+            if audience == "tap" and cycle == tap_at:
+                bus.add_tap(tapped.append)
+            bus.set_time(cycle * 0.01)
+            openpilot.step(cycle * 0.01, CarState(v_ego=20.0, cruise_speed=26.82))
+
+        for service in ADAS_SERVICES:
+            assert bus.heard(service) == (audience != "none")
+            assert bus.publication_count(service) == cycles
+            if audience == "tap":
+                seqs = [event.seq for event in tapped if event.service == service]
+                assert seqs == list(range(tap_at, cycles))
+        late = {service: bus.subscribe(service, conflate=True) for service in ADAS_SERVICES}
+        openpilot.step(cycles * 0.01, CarState(v_ego=20.0, cruise_speed=26.82))
+        for service, sub in late.items():
+            assert sub.latest.seq == cycles
 
 
 class TestSafetyLimitProperties:

@@ -7,6 +7,7 @@ from repro.core.attack_engine import AttackEngine
 from repro.core.attack_types import AttackType
 from repro.core.can_tamper import CanAttackInterceptor, tamper_signal
 from repro.core.eavesdropper import Eavesdropper
+from repro.core.state_inference import StateInference
 from repro.core.strategies import ContextAwareStrategy, RandomStartDurationStrategy
 from repro.messaging.messages import (
     CarState,
@@ -156,3 +157,83 @@ class TestCanTampering:
         )
         can_bus.send(frame)
         assert can_bus.tampered_count == 0
+
+
+def count_calls(monkeypatch, obj, name):
+    """Wrap ``obj.name`` so each call is counted in the returned list."""
+    calls = []
+    original = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+class TestSensorRateAttacker:
+    def test_infers_only_on_fresh_snapshots(self, message_bus, monkeypatch):
+        engine = AttackEngine(message_bus, AttackType.ACCELERATION, ContextAwareStrategy(), seed=1)
+        inferred = count_calls(monkeypatch, engine.inference, "infer")
+        publish_state(message_bus, v_ego=20.0, lead_distance=150.0, v_rel=-2.0)
+        engine.output_hook(1.0, ActuatorCommand(), CAR)
+        context = engine.last_context
+        engine.output_hook(1.01, ActuatorCommand(), CAR)
+        engine.output_hook(1.02, ActuatorCommand(), CAR)
+        assert len(inferred) == 1
+        assert engine.last_context is context
+        assert context.time == 1.02
+        assert context == StateInference().infer(engine.eavesdropper.snapshot(1.02))
+
+        message_bus.publish("radarState", RadarState())
+        engine.output_hook(1.03, ActuatorCommand(), CAR)
+        assert len(inferred) == 2
+        assert not engine.last_context.has_lead
+
+    def test_timer_strategy_matches_no_rules_before_start(self, message_bus, monkeypatch):
+        strategy = RandomStartDurationStrategy(start_range=(2.0, 2.0), duration_range=(1.0, 1.0))
+        engine = AttackEngine(message_bus, AttackType.DECELERATION, strategy, seed=1)
+        matched = count_calls(monkeypatch, engine.matcher, "match")
+        for time in (0.5, 1.0, 1.5, 1.99, 2.0, 2.5):
+            publish_state(message_bus, v_ego=20.0, lead_distance=150.0, v_rel=2.0)
+            engine.output_hook(time, ActuatorCommand(), CAR)
+        assert engine.active
+        # Non-steering: the activation itself never needed the matches.
+        assert matched == []
+
+    @pytest.mark.parametrize("lateral_offset, direction", [(-0.9, -1), (0.9, +1)])
+    def test_steering_timer_attack_takes_direction_from_matches(
+        self, message_bus, monkeypatch, lateral_offset, direction
+    ):
+        strategy = RandomStartDurationStrategy(start_range=(2.0, 2.0), duration_range=(1.0, 1.0))
+        engine = AttackEngine(message_bus, AttackType.ACCELERATION_STEERING, strategy, seed=1)
+        matched = count_calls(monkeypatch, engine.matcher, "match")
+        for time in (1.0, 1.5, 2.0, 2.5):
+            # A lane edge within 0.1 m: rule 3 (left) or rule 4 (right).
+            publish_state(
+                message_bus, v_ego=20.0, lead_distance=150.0, v_rel=2.0,
+                lateral_offset=lateral_offset,
+            )
+            engine.output_hook(time, ActuatorCommand(), CAR)
+        assert engine.record.activation_time == 2.0
+        assert engine.record.steer_direction == direction
+        assert len(matched) == 1  # at activation, and only then
+
+    def test_no_rules_matched_once_active(self, message_bus, monkeypatch):
+        engine = AttackEngine(message_bus, AttackType.ACCELERATION, ContextAwareStrategy(), seed=1)
+        matched = count_calls(monkeypatch, engine.matcher, "match")
+        for time in (1.0, 1.1, 1.2):
+            publish_state(message_bus, v_ego=20.0, lead_distance=30.0, v_rel=-5.0)
+            engine.output_hook(time, ActuatorCommand(), CAR)
+        assert engine.active
+        assert len(matched) == 1
+
+    def test_no_rules_matched_after_driver_takeover(self, message_bus, monkeypatch):
+        engine = AttackEngine(message_bus, AttackType.ACCELERATION, ContextAwareStrategy(), seed=1)
+        matched = count_calls(monkeypatch, engine.matcher, "match")
+        engine.notify_driver_engaged()
+        publish_state(message_bus, v_ego=20.0, lead_distance=30.0, v_rel=-5.0)
+        engine.output_hook(1.0, ActuatorCommand(), CAR)
+        assert matched == []
+        assert not engine.record.activated

@@ -137,9 +137,3 @@ class TestContextMatcher:
         match = matcher.match_for_actions(ctx, [ControlAction.ACCELERATION])
         assert match is not None and match.action is ControlAction.ACCELERATION
         assert matcher.match_for_actions(ctx, [ControlAction.STEER_LEFT]) is None
-
-    def test_match_history_accumulates(self):
-        matcher = ContextMatcher(default_context_table(t_safe=2.0))
-        matcher.match(context(headway_time=1.5, relative_speed=3.0))
-        matcher.match(context(headway_time=1.4, relative_speed=3.0))
-        assert len(matcher.match_history) == 2

@@ -119,3 +119,21 @@ class TestOutputHooks:
                                                                   steering_angle_deg=c.steering_angle_deg))
         result = openpilot.step(0.0, car_state(v_ego=20.0))
         assert all(alert.name != "fcw" for alert in result.new_alerts)
+
+
+class TestPublishedPayloads:
+    def test_queued_subscriber_gets_fresh_payloads(self, openpilot, message_bus):
+        subs = {name: message_bus.subscribe(name)
+                for name in ("carState", "carControl", "controlsState")}
+        publish_perception(message_bus)
+        shared = car_state(v_ego=20.0)
+        openpilot.step(0.0, shared)
+        shared.v_ego = 21.0  # the kernel refreshes one car state in place
+        openpilot.step(0.01, shared)
+        car_states = [event.data for event in subs["carState"].drain()]
+        assert [state.v_ego for state in car_states] == [20.0, 21.0]
+        controls = [event.data for event in subs["carControl"].drain()]
+        assert controls[0] is not controls[1]
+        assert controls[0].actuators is not controls[1].actuators
+        states = [event.data for event in subs["controlsState"].drain()]
+        assert states[0] is not states[1]
