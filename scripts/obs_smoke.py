@@ -66,7 +66,7 @@ async def _service_job(journal_path: str, kill_after_progress: bool) -> None:
     async for event in service.events(job):
         if kill_after_progress and event.kind == "progress":
             # Simulated process death: no journal.close(), no service.stop(),
-            # no flush beyond the per-record fsync already paid.
+            # nothing written beyond the flush every emit already paid.
             os._exit(1)
     await service.result(job)
     await service.stop()

@@ -495,6 +495,7 @@ def run_simulations(
     if cache is not None:
         from repro.service.cache import partition_tasks
 
+        cache = cache.with_journal(journal)
         cached, pending, keys = partition_tasks(tasks, cache)
         sub_progress: Optional[ProgressCallback] = None
         if progress is not None:

@@ -16,9 +16,10 @@
   JSONL with service-wide monotonic sequence numbers and correlation
   fields (``job_id → chunk_id → fingerprint → attempt``) fed by the
   campaign service, the supervisor, the run cache, the search driver and
-  checkpointing, durable via the fsync idioms of
-  :mod:`repro.resilience.checkpoint`, with rotation and a crash-tolerant
-  reader that can rebuild a job's state after process death;
+  checkpointing, durable by group commit (every event flushed, commit
+  points such as a job's submission and result fsynced), with rotation
+  and a crash-tolerant reader that can rebuild a job's state after
+  process death;
 * :mod:`repro.obs.query` — the post-mortem join of journal + flight
   records + telemetry snapshot (timelines, per-job causal summaries,
   hazard forensics), driven by ``scripts/obs_report.py``.

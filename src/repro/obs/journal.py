@@ -9,10 +9,22 @@ and whatever correlation fields the emitter carries (``job_id`` →
 ``chunk_id`` → ``fingerprint`` → ``attempt``), so a post-mortem can walk
 the exact causal chain of any run across layers.
 
-Durability follows :mod:`repro.resilience.checkpoint`'s idioms: lines
-are flushed + fsynced every ``fsync_every`` events, rotation is an
-atomic ``os.replace`` to ``<path>.1`` followed by a directory fsync, and
-the reader tolerates exactly one torn *final* line (the crash case) —
+Durability is a group commit.  Every event is written and flushed to
+the operating system before :meth:`EventJournal.emit` returns, so a
+killed process loses nothing.  Only *commit points* are also fsynced
+before ``emit`` returns: ``job.queued`` (a submission is acknowledged),
+``job.completed`` and ``job.failed`` (a job's result is acknowledged),
+and every event above ``info`` level (cache bypasses and corruptions,
+supervisor retries, respawns and quarantines — rare and forensic).
+After a machine crash the file therefore reaches at least the last
+commit point; what a crash can lose is the info-level progress, cache
+and supervisor events of unfinished jobs.  The cache already holds
+those jobs' finished runs (every blob write is atomic and fsynced), and
+:func:`replay_jobs` reports the jobs as queued or running.  Rotation
+and :meth:`EventJournal.close` fsync as well, following
+:mod:`repro.resilience.checkpoint`'s idioms: rotation is an atomic
+``os.replace`` to ``<path>.1`` followed by a directory fsync.  The
+reader tolerates exactly one torn *final* line (the crash case) —
 corruption anywhere else raises :class:`JournalError` loudly.
 
 The journal doubles as the first half of job persistence
@@ -45,9 +57,6 @@ class EventJournal:
         path: The journal file (created on first emit; parent directory
             is created too).  Rotation moves the full file to
             ``<path>.1`` (one rotated generation is kept).
-        fsync_every: fsync the file once per this many events (1 = every
-            event, the crash-safe default; raise it to trade durability
-            of the last few events for throughput).
         max_bytes: Rotate when the file reaches this size (``None``
             never rotates).
 
@@ -58,22 +67,13 @@ class EventJournal:
     the supervisor's parent-side accounting).
     """
 
-    def __init__(
-        self,
-        path: str,
-        fsync_every: int = 1,
-        max_bytes: Optional[int] = None,
-    ):
-        if fsync_every < 1:
-            raise ValueError(f"fsync_every must be positive, got {fsync_every}")
+    def __init__(self, path: str, max_bytes: Optional[int] = None):
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.path = path
-        self.fsync_every = fsync_every
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
         self._file = None
-        self._pending_sync = 0
         # Continue the sequence across process restarts: a reopened
         # journal appends after the last durable seq, so "strictly
         # monotonic" holds for the file's whole life, not one process's.
@@ -82,10 +82,11 @@ class EventJournal:
     # ------------------------------------------------------------------
 
     def emit(self, kind: str, level: str = "info", **fields: Any) -> int:
-        """Append one event; returns its sequence number.
+        """Append and flush one event; returns its sequence number.
 
-        ``None``-valued fields are dropped so emitters can pass optional
-        correlation fields unconditionally.
+        A commit point (:func:`_is_commit_point`) is fsynced too before
+        this returns.  ``None``-valued fields are dropped so emitters can
+        pass optional correlation fields unconditionally.
         """
         record: Dict[str, Any] = {"v": JOURNAL_VERSION, "kind": kind, "level": level}
         for key, value in fields.items():
@@ -99,11 +100,9 @@ class EventJournal:
             line = json.dumps(record, sort_keys=True, separators=(",", ":"))
             handle = self._ensure_open()
             handle.write(line + "\n")
-            self._pending_sync += 1
-            if self._pending_sync >= self.fsync_every:
-                handle.flush()
+            handle.flush()
+            if _is_commit_point(kind, level):
                 os.fsync(handle.fileno())
-                self._pending_sync = 0
             if self.max_bytes is not None and handle.tell() >= self.max_bytes:
                 self._rotate_locked()
         return seq
@@ -138,7 +137,6 @@ class EventJournal:
             os.fsync(self._file.fileno())
             self._file.close()
             self._file = None
-            self._pending_sync = 0
 
     def _rotate_locked(self) -> None:
         self._close_locked()
@@ -256,6 +254,15 @@ _JOB_STATUS = {
     "job.completed": "completed",
     "job.failed": "failed",
 }
+
+#: Job events that acknowledge something to a client: a submission, or a
+#: job's result.  With every event above ``info`` level these are the
+#: journal's commit points, fsynced before ``emit`` returns.
+_COMMIT_KINDS = frozenset(("job.queued", "job.completed", "job.failed"))
+
+
+def _is_commit_point(kind: str, level: str) -> bool:
+    return kind in _COMMIT_KINDS or level not in ("debug", "info")
 
 
 def replay_jobs(records: Iterable[Dict[str, Any]]) -> Dict[int, JobReplay]:

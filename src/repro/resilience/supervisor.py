@@ -888,6 +888,7 @@ def _run_with_checkpoint(
     cache_keys: Dict[int, str] = {}
     loaded_from_cache = 0
     if cache is not None:
+        cache = cache.with_journal(journal)
         for index in range(total):
             if index in done:
                 continue

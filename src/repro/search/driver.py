@@ -242,7 +242,8 @@ class SearchDriver:
         self.on_generation = on_generation
         # Optional event journal: one "search.generation" record per
         # completed generation (fresh points, memo hits, budget spent),
-        # correlated with whatever fields the caller bound (job_id).
+        # plus the run cache's events, correlated with whatever fields
+        # the caller bound (job_id).
         self.journal = journal
 
     # -- checkpointing -------------------------------------------------------
@@ -330,7 +331,9 @@ class SearchDriver:
         if self.run_cache is not None:
             from repro.service.cache import run_tasks_cached
 
-            return run_tasks_cached(tasks, self.run_cache, self._execute_uncached)
+            return run_tasks_cached(
+                tasks, self.run_cache.with_journal(self.journal), self._execute_uncached
+            )
         return self._execute_uncached(tasks)
 
     def _execute_uncached(self, tasks: Sequence[SearchTask]) -> List[RunResult]:

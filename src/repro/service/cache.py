@@ -28,6 +28,7 @@ fingerprint (bypasses journal the *reason* the fingerprint was
 unavailable, at warning level).
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -121,6 +122,23 @@ class RunCache:
         self.code_epoch = code_epoch if code_epoch is not None else default_code_epoch()
         self.journal = journal
         self.stats = CacheStats()
+
+    def with_journal(
+        self, journal: "Optional[EventJournal | BoundJournal]"
+    ) -> "RunCache":
+        """This cache with its events sent to ``journal`` (``None``: as is).
+
+        The view shares the store, the stats and the telemetry of this
+        handle; only the journal differs.  The executor, the supervisor
+        and the search driver take one per call, so a service chunk's or
+        search job's bound journal stamps its ids on the cache's events
+        without rebinding the handle that sibling threads share.
+        """
+        if journal is None:
+            return self
+        view = copy.copy(self)
+        view.journal = journal
+        return view
 
     # -- keys ----------------------------------------------------------------
 

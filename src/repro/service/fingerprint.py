@@ -33,7 +33,9 @@ registered here; custom strategies opt in via
 
 import hashlib
 import json
+import math
 import os
+import pickle
 from dataclasses import fields, is_dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Type
@@ -168,10 +170,44 @@ def _canonical(value: Any) -> Any:
     )
 
 
+def _task_fields(
+    config: "SimulationConfig", strategy: Optional[AttackStrategy]
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """A task's top-level fields, split as ``(shared, scalars)``.
+
+    ``shared`` holds the structured parts a campaign's cells share — the
+    resolved scenario, noise, hazard params, attack tuning and strategy
+    token — still raw; ``scalars`` holds the per-cell JSON scalars.
+    """
+    shared = {
+        "scenario": config.build_scenario(),
+        "noise": config.noise,
+        "hazard_params": config.hazard_params,
+        "attack_tuning": config.attack_tuning,
+        "strategy": _strategy_token(config, strategy),
+    }
+    scalars = {
+        "version": TASK_FINGERPRINT_VERSION,
+        "seed": config.seed,
+        "attack_type": None if config.attack_type is None else config.attack_type.value,
+        "driver_enabled": config.driver_enabled,
+        "max_steps": config.max_steps,
+        "stop_after_collision": config.stop_after_collision,
+        "record_trajectory": config.record_trajectory,
+        "driver_reaction_time": config.driver_reaction_time,
+        "track_safety_margin": config.track_safety_margin,
+    }
+    return shared, scalars
+
+
 def canonical_task(
     config: "SimulationConfig", strategy: Optional[AttackStrategy] = None
 ) -> dict:
     """The canonical JSON-safe description of one simulation task.
+
+    This is the reference definition of the fingerprint's content:
+    :func:`fingerprint_task` hashes exactly
+    ``canonical_json(canonical_task(config, strategy))``.
 
     The scenario is *resolved* first (names looked up, initial-distance
     override applied), so a task given as ``scenario="S1"`` and the same
@@ -181,28 +217,75 @@ def canonical_task(
     cannot describe (unregistered strategy classes, non-JSON-safe config
     values) — callers treat those as cache bypasses.
     """
-    scenario = config.build_scenario()
-    return {
-        "version": TASK_FINGERPRINT_VERSION,
-        "scenario": _canonical(scenario),
-        "seed": config.seed,
-        "attack_type": None if config.attack_type is None else config.attack_type.value,
-        "driver_enabled": config.driver_enabled,
-        "max_steps": config.max_steps,
-        "stop_after_collision": config.stop_after_collision,
-        "noise": _canonical(config.noise),
-        "record_trajectory": config.record_trajectory,
-        "driver_reaction_time": config.driver_reaction_time,
-        "hazard_params": _canonical(config.hazard_params),
-        "attack_tuning": _canonical(config.attack_tuning),
-        "track_safety_margin": config.track_safety_margin,
-        "strategy": _strategy_token(config, strategy),
-    }
+    shared, scalars = _task_fields(config, strategy)
+    payload = {key: _canonical(value) for key, value in shared.items()}
+    payload.update(scalars)
+    return payload
 
 
 def canonical_json(payload: dict) -> str:
     """Dump a canonical payload as byte-deterministic JSON."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# -- shared-part splicing -----------------------------------------------------
+
+#: Canonical JSON of recently seen shared parts, keyed by each part's
+#: pickle.  The key is type-exact where value equality is not: ``70``
+#: and ``70.0``, ``0.0`` and ``-0.0``, ``True`` and ``1`` compare equal
+#: but serialise differently, so an equality key would make a digest
+#: depend on what the process fingerprinted before.
+_part_memo: Dict[bytes, str] = {}
+
+#: Entries kept before the memo starts over.  A campaign grid shares a
+#: handful of parts; search tasks bring a fresh tuning per point and
+#: must not grow the memo.
+_PART_MEMO_CAP = 64
+
+
+def _part_json(value: Any) -> str:
+    """``canonical_json(_canonical(value))``, memoised type-exactly."""
+    try:
+        key = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return canonical_json(_canonical(value))  # no key: render unmemoised
+    text = _part_memo.get(key)
+    if text is None:
+        text = canonical_json(_canonical(value))
+        if len(_part_memo) >= _PART_MEMO_CAP:
+            _part_memo.clear()
+        _part_memo[key] = text
+    return text
+
+
+def _scalar_json(value: Any) -> str:
+    """``json.dumps(value)`` as the canonical dump renders a top-level scalar.
+
+    The common exact types skip the encoder's set-up; everything else
+    (strings, non-finite floats, subclasses) goes through it.
+    """
+    kind = type(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return canonical_json(value)
+
+
+def _task_json(config: "SimulationConfig", strategy: Optional[AttackStrategy]) -> str:
+    """``canonical_json(canonical_task(config, strategy))``, spliced.
+
+    The shared parts come from :func:`_part_json`; the per-cell scalars
+    are rendered in place.  Top-level keys are fixed identifiers, so
+    sorting them and quoting them by hand matches the sorted dump.
+    """
+    shared, scalars = _task_fields(config, strategy)
+    rendered = {key: _part_json(value) for key, value in shared.items()}
+    for key, value in scalars.items():
+        rendered[key] = _scalar_json(value)
+    return "{" + ",".join(f'"{key}":{rendered[key]}' for key in sorted(rendered)) + "}"
 
 
 # -- the code epoch -----------------------------------------------------------
@@ -277,5 +360,5 @@ def fingerprint_task(
     digest = hashlib.sha256()
     digest.update(epoch.encode())
     digest.update(b"\x00")
-    digest.update(canonical_json(canonical_task(config, strategy)).encode())
+    digest.update(_task_json(config, strategy).encode())
     return digest.hexdigest()

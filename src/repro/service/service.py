@@ -69,7 +69,8 @@ class CampaignService:
         journal: Optional :class:`~repro.obs.journal.EventJournal`; every
             :class:`JobEvent` is mirrored into it as a ``job.*`` record,
             chunk dispatches bind ``job_id``/``chunk_id`` correlation
-            fields into the supervised back-end's events, and a reader
+            fields into the cache's and the supervised back-end's events
+            (search jobs bind ``job_id``), and a reader
             can rebuild every job's state after process death via
             :func:`repro.obs.journal.replay_jobs`.
 
@@ -97,8 +98,6 @@ class CampaignService:
         self.concurrency = concurrency
         self.telemetry = telemetry
         self.journal = journal
-        if cache is not None and journal is not None and cache.journal is None:
-            cache.journal = journal
         self._queue: Optional["asyncio.Queue[Optional[Job]]"] = None
         self._consumers: List["asyncio.Task"] = []
         self._jobs: List[Job] = []
@@ -228,8 +227,9 @@ class CampaignService:
 
         journal = None
         if self.journal is not None:
-            # Supervised back-end events inherit the job/chunk identity,
-            # completing the job_id → chunk_id → fingerprint causal chain.
+            # Cache and supervised back-end events inherit the job/chunk
+            # identity, completing the job_id → chunk_id → fingerprint
+            # causal chain.
             journal = self.journal.bind(job_id=job_id, chunk_id=chunk_id)
         return run_simulations(
             chunk,

@@ -18,6 +18,7 @@ from collections import Counter
 from repro.core.attack_types import AttackType
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.obs.journal import EventJournal, job_event_stream, read_journal, replay_jobs
+from repro.obs.query import job_summaries
 from repro.resilience.chaos import ChaosPolicy, FaultSpec
 from repro.resilience.supervisor import SupervisionPolicy, run_supervised_campaign
 from repro.service import CampaignJobSpec, CampaignService, RunCache
@@ -192,6 +193,58 @@ class TestCacheJournal:
         assert len(corruptions) == 1
         assert corruptions[0]["level"] == "warning"
         assert corruptions[0]["fingerprint"] in blob
+
+
+class TestJobCorrelatedCache:
+    def _search_spec(self):
+        from repro.search.driver import SearchConfig
+        from repro.search.objectives import HazardObjective
+        from repro.search.optimizers import make_optimizer
+        from repro.search.space import attack_search_space
+        from repro.service import SearchJobSpec
+
+        return SearchJobSpec(
+            space=attack_search_space(
+                scenario="S1", attack_types=(AttackType.DECELERATION,), max_steps=150
+            ),
+            objective=HazardObjective(),
+            optimizer_factory=lambda space: make_optimizer(
+                "random", space, seed=2022, generation_size=2
+            ),
+            config=SearchConfig(budget=2, master_seed=2022),
+        )
+
+    def test_cache_events_carry_their_jobs_ids(self, tmp_path):
+        """A grid served twice, then a search, on one journaled service:
+        every ``cache.*`` record names its job (and a campaign job's
+        chunk), so the job summaries show what the cache absorbed."""
+        path = str(tmp_path / "journal.jsonl")
+        journal = EventJournal(path)
+        cache = RunCache(str(tmp_path / "cache"), code_epoch=EPOCH)
+        service = CampaignService(cache=cache, journal=journal)
+        specs = [CampaignJobSpec(config=_grid(), chunk_runs=1) for _ in range(2)]
+        specs.append(self._search_spec())
+        asyncio.run(_run_jobs(service, specs))
+        journal.close()
+
+        records = read_journal(path)
+        owner = None  # jobs run one at a time: the job started last
+        per_job = Counter()
+        for record in records:
+            if record["kind"] == "job.started":
+                owner = record["job_id"]
+            elif record["kind"].startswith("cache."):
+                assert record.get("job_id") == owner, record
+                if owner < 2:
+                    assert isinstance(record.get("chunk_id"), int), record
+                per_job[owner, record["kind"]] += 1
+        assert per_job[0, "cache.miss"] == 4 and per_job[0, "cache.write"] == 4
+        assert per_job[1, "cache.hit"] == 4 and per_job[1, "cache.miss"] == 0
+        assert per_job[2, "cache.miss"] + per_job[2, "cache.hit"] > 0
+
+        lines = job_summaries(records)
+        assert "4 cache misses" in lines[0]
+        assert "4 cache hits" in lines[1]
 
 
 class TestSupervisorJournal:

@@ -155,3 +155,106 @@ class TestRefusal:
         )
         strategic = fingerprint_task(_config(), ContextAwareStrategy(), code_epoch=EPOCH)
         assert fixed != strategic
+
+
+# -- the pinned format ---------------------------------------------------------
+
+#: The epoch every pinned digest is taken under.
+PINNED_EPOCH = "pinned-epoch"
+
+
+def _pinned_tasks():
+    """One task per registered strategy class, plus the special shapes."""
+    from repro.core.attack_engine import AttackTuning
+    from repro.core.strategies import ScheduledAttackStrategy
+    from repro.experiments.table5 import ContextAwareFixedValueStrategy
+    from repro.sim.scenarios import build_scenario
+
+    return {
+        "no-attack-strategy": (
+            _config(attack_type=AttackType.ACCELERATION, seed=7),
+            NoAttackStrategy(),
+        ),
+        "random-st+dur": (_config(seed=1), RandomStartDurationStrategy()),
+        "random-st": (
+            _config(
+                scenario="S2",
+                initial_distance=50.0,
+                attack_type=AttackType.ACCELERATION,
+                seed=2,
+            ),
+            RandomStartStrategy(),
+        ),
+        "random-dur": (
+            _config(
+                scenario="S3",
+                initial_distance=100.0,
+                attack_type=AttackType.STEERING_LEFT,
+                seed=3,
+            ),
+            RandomDurationStrategy(),
+        ),
+        "scheduled": (
+            _config(scenario="S4", attack_type=AttackType.STEERING_RIGHT, seed=4),
+            ScheduledAttackStrategy(12.5, 2.0),
+        ),
+        "context-aware": (
+            _config(
+                initial_distance=100.0,
+                attack_type=AttackType.DECELERATION_STEERING,
+                seed=5,
+            ),
+            ContextAwareStrategy(),
+        ),
+        "context-aware-fixed-value": (
+            _config(attack_type=AttackType.ACCELERATION_STEERING, seed=6),
+            ContextAwareFixedValueStrategy(),
+        ),
+        "inert": (_config(attack_type=None, seed=8), None),
+        "scenario-object": (
+            _config(scenario=build_scenario("S3"), initial_distance=50.0, seed=9),
+            ContextAwareStrategy(),
+        ),
+        "attack-tuning": (
+            _config(
+                attack_tuning=AttackTuning(t_safe=1.5, beta1=0.25),
+                track_safety_margin=True,
+                max_steps=2500,
+                seed=10,
+            ),
+            ContextAwareStrategy(max_duration=6.0),
+        ),
+    }
+
+
+#: Computed under :data:`PINNED_EPOCH` by the plain reference path
+#: (``sha256(epoch + "\0" + canonical_json(canonical_task(...)))``)
+#: before the shared-part fast path existed.  A serialisation change that
+#: moves any of them turns every warm cache cold: bump
+#: ``TASK_FINGERPRINT_VERSION`` on purpose instead.
+PINNED_DIGESTS = {
+    "no-attack-strategy": "4a0510714b2025366e616a417d4f590837fdc5cbab2d368cea862e5eddac08c1",
+    "random-st+dur": "24514330c26e779ed3152d3ce79ce956e403108f954f1820274ec2b29731c647",
+    "random-st": "9530b3ed6246cf73162d3c5a2bb93be04d492ea9e02f3e7255585f7148f4b7a4",
+    "random-dur": "b774443f287e1330438043e78dde0f6adfa189585b7bcf6cb5a5380215e7d1c1",
+    "scheduled": "57d0d62386b1e3e36a00e2180ff4a5f0fe390bc320f081e9ccfe7c4fedba2874",
+    "context-aware": "ff4d5e0d562c350d15f81d8b5add29d3a14065e29a84d07b421844a50352be3f",
+    "context-aware-fixed-value": "4dfa1627b221065c5e2592735d77649aaa078234c200999b162ffb3228ca8a0e",
+    "inert": "85238545ab1287e48834ba574ebc87e5d895d824bfb84e3a75ead3965a794153",
+    "scenario-object": "1eae15a9843f958a238e43441297833b769d1cba7de21e5c997b2729d4da97b2",
+    "attack-tuning": "f5f4bb4da8841d1c93cdbd3e397d46be845260661907a04ff7b517b187423f49",
+}
+
+
+class TestPinnedFormat:
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_digest_matches_the_pinned_literal(self, name):
+        config, strategy = _pinned_tasks()[name]
+        assert fingerprint_task(config, strategy, code_epoch=PINNED_EPOCH) == PINNED_DIGESTS[name]
+
+    def test_every_registered_strategy_class_is_pinned(self):
+        from repro.service.fingerprint import _STRATEGY_FIELDS
+
+        pinned = {type(strategy) for _, strategy in _pinned_tasks().values()}
+        shipped = {cls for cls in _STRATEGY_FIELDS if cls.__module__.startswith("repro.")}
+        assert shipped <= pinned

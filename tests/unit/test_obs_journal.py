@@ -43,7 +43,7 @@ class TestEmit:
 
     def test_concurrent_emitters_never_collide(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
-        journal = EventJournal(path, fsync_every=64)
+        journal = EventJournal(path)
 
         def hammer(worker):
             for i in range(50):
@@ -59,8 +59,6 @@ class TestEmit:
         assert seqs == sorted(seqs) == list(range(200))
 
     def test_invalid_settings_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            EventJournal(str(tmp_path / "j"), fsync_every=0)
         with pytest.raises(ValueError):
             EventJournal(str(tmp_path / "j"), max_bytes=0)
 
@@ -119,6 +117,89 @@ class TestDurability:
             handle.write("\n".join(lines) + "\n")
         with pytest.raises(JournalError):
             read_journal(path)
+
+
+def _fsync_spy(monkeypatch, path):
+    """Record the kind of the journal's last line at every fsync of it."""
+    real_fsync = os.fsync
+    synced = []
+
+    def spy(fd):
+        if os.path.exists(path) and os.fstat(fd).st_ino == os.stat(path).st_ino:
+            synced.append(read_journal(path)[-1]["kind"])
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    return synced
+
+
+def _emit_then_die(path, count):
+    journal = EventJournal(path)
+    for index in range(count):
+        journal.emit("test.event", index=index)
+    os._exit(1)  # no close, no interpreter shutdown: a killed process
+
+
+class TestGroupCommit:
+    """Every event is flushed; only commit points (and close) are fsynced."""
+
+    def test_service_job_fsyncs_at_queued_completed_and_close_only(
+        self, tmp_path, monkeypatch
+    ):
+        import asyncio
+
+        from repro.core.attack_types import AttackType
+        from repro.injection.campaign import CampaignConfig
+        from repro.service import CampaignJobSpec, CampaignService, RunCache
+
+        path = str(tmp_path / "journal.jsonl")
+        synced = _fsync_spy(monkeypatch, path)
+        journal = EventJournal(path)
+        cache = RunCache(str(tmp_path / "cache"), code_epoch="group-commit-test")
+        service = CampaignService(cache=cache, journal=journal)
+        grid = CampaignConfig(
+            strategy_name="Context-Aware",
+            scenarios=("S1",),
+            initial_distances=(60.0,),
+            attack_types=(AttackType.DECELERATION,),
+            repetitions=4,
+            max_steps=150,
+        )
+
+        async def one_job():
+            await service.start()
+            job = await service.submit(CampaignJobSpec(config=grid, chunk_runs=1))
+            await service.result(job)
+            await service.stop()
+
+        asyncio.run(one_job())
+        kinds = [r["kind"] for r in read_journal(path)]
+        assert kinds.count("job.progress") == 4 and kinds.count("cache.write") == 4
+        assert synced == ["job.queued", "job.completed"]
+        journal.close()
+        assert synced == ["job.queued", "job.completed", "job.completed"]
+
+    def test_events_above_info_are_fsynced(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "journal.jsonl")
+        synced = _fsync_spy(monkeypatch, path)
+        journal = EventJournal(path)
+        journal.emit("test.progress")
+        journal.emit("supervisor.retry", level="warning")
+        journal.emit("test.progress")
+        assert synced == ["supervisor.retry"]
+        journal.close()
+
+    def test_killed_process_loses_no_event(self, tmp_path):
+        import multiprocessing
+
+        path = str(tmp_path / "journal.jsonl")
+        child = multiprocessing.get_context("fork").Process(
+            target=_emit_then_die, args=(path, 40)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 1
+        assert [r["index"] for r in read_journal(path)] == list(range(40))
 
 
 class TestReplay:
