@@ -335,28 +335,38 @@ def test_bench_search_throughput(benchmark):
 
 
 def test_bench_resilient_campaign(benchmark):
-    """Supervised-executor overhead on the clean (fault-free) path.
+    """Task-loop overhead on the clean (fault-free) path.
 
-    Runs the reduced campaign plain and under the supervised executor
-    (same workload, interleaved best-of-2 each way) and records both
-    rates plus the overhead percentage.  The supervision layer's chunk
-    bookkeeping must stay within a few percent of the plain executor —
+    Runs the reduced campaign as the bare ``run_simulation`` loop (the
+    reference perfbench's workloads check against) and through the
+    supervised task loop (same tasks, interleaved best-of-2 each way),
+    and records both rates plus the overhead percentage.  The loop's
+    chunk bookkeeping must stay within a few percent of the bare loop —
     ``benchmarks/check_regression.py`` gates the recorded overhead — and
     the results must be bit-identical (the resilience layer's core
     guarantee).
     """
+    from repro.injection.engine import run_simulation
+    from repro.resilience import SupervisionPolicy, run_supervised_simulations
+
     config = _campaign_config(max_steps=2500)
     total = config.total_runs
+
+    def supervised_run():
+        return run_supervised_simulations(
+            Campaign(config).tasks(), policy=SupervisionPolicy(), workers=1
+        )
 
     plain_best = float("inf")
     resilient_best = float("inf")
     reference = None
     for _ in range(2):
+        tasks = Campaign(config).tasks()
         start = time.perf_counter()
-        plain = Campaign(config).run()
+        plain = [run_simulation(*task) for task in tasks]
         plain_best = min(plain_best, time.perf_counter() - start)
         start = time.perf_counter()
-        outcome = Campaign(config).run_resilient(workers=1)
+        outcome = supervised_run()
         resilient_best = min(resilient_best, time.perf_counter() - start)
         if reference is None:
             reference = plain
@@ -364,10 +374,7 @@ def test_bench_resilient_campaign(benchmark):
         assert outcome.completed_results == reference
         assert not outcome.report.quarantine
 
-    def resilient_run():
-        return Campaign(config).run_resilient(workers=1)
-
-    final = benchmark.pedantic(resilient_run, rounds=1, iterations=1)
+    final = benchmark.pedantic(supervised_run, rounds=1, iterations=1)
     assert final.completed_results == reference
 
     overhead_pct = 100.0 * (resilient_best - plain_best) / plain_best
@@ -378,7 +385,7 @@ def test_bench_resilient_campaign(benchmark):
     _write_results()
     print(
         f"\nresilient campaign: {total / resilient_best:.2f} runs/s supervised vs "
-        f"{total / plain_best:.2f} runs/s plain ({overhead_pct:+.1f}% overhead)"
+        f"{total / plain_best:.2f} runs/s bare loop ({overhead_pct:+.1f}% overhead)"
     )
 
 
@@ -541,7 +548,7 @@ def test_bench_campaign_scaling(benchmark):
     baseline = None
     for workers in (1, 2, 4):
         def run_with_workers(w=workers):
-            return Campaign(config).run(workers=w, parallel=w > 1)
+            return Campaign(config).run(workers=w)
 
         if workers == 4:
             start = time.perf_counter()

@@ -41,7 +41,7 @@ from repro.obs.query import (
 )
 from repro.obs.recorder import FlightRecorderConfig
 from repro.resilience.chaos import ChaosPolicy, FaultSpec
-from repro.resilience.supervisor import SupervisionPolicy, run_supervised_campaign
+from repro.resilience.supervisor import SupervisionPolicy, run_supervised_simulations
 from repro.service import CampaignService, CampaignJobSpec
 
 import obs_report
@@ -161,8 +161,8 @@ def check_chaos_correlation(out_dir: str) -> None:
         state_dir=os.path.join(out_dir, "chaos-state"),
         seed=7,
     )
-    outcome = run_supervised_campaign(
-        campaign,
+    outcome = run_supervised_simulations(
+        campaign.tasks(),
         policy=SupervisionPolicy(max_chunk_attempts=3, backoff_base=0.0),
         workers=2,
         chunk_size=2,

@@ -14,14 +14,13 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.supervisor import SupervisionPolicy
     from repro.service.cache import RunCache
     from repro.telemetry import Telemetry
 
 from repro.core.attack_types import AttackType
 from repro.core.strategies import ContextAwareStrategy, RandomStartDurationStrategy
 from repro.injection.engine import SimulationConfig
-from repro.injection.executor import run_simulations
+from repro.resilience.supervisor import SupervisionPolicy, run_supervised_simulations
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,7 @@ def run_figure8(
     seed: int = 7,
     workers: Optional[int] = None,
     batch_size: Optional[int] = None,
-    supervision: Optional["SupervisionPolicy"] = None,
-    checkpoint_path: Optional[str] = None,
+    supervision: Optional[SupervisionPolicy] = None,
     telemetry: Optional["Telemetry"] = None,
     cache: Optional["RunCache"] = None,
 ) -> Figure8Result:
@@ -108,20 +106,20 @@ def run_figure8(
         context_aware_seeds: Seeds for the Context-Aware reference runs.
         seed: Base seed for the sweep runs.
         workers: Worker processes for the sweep (> 1 fans the independent
-            simulations out over the parallel executor; the points are
+            simulations out over the process pool; the points are
             identical to a sequential sweep).
-        batch_size: Lockstep batch width per worker (> 1 steps that many
+        batch_size: Lockstep batch width per chunk (> 1 steps that many
             sweep runs through the kernel together; identical points,
             higher per-core throughput).
         supervision: Fault-tolerance policy for the sweep
-            (:class:`repro.resilience.SupervisionPolicy`).
-        checkpoint_path: Crash-safe checkpoint file; an interrupted sweep
-            rerun with the same path pays only for unfinished points.
+            (:class:`repro.resilience.SupervisionPolicy`); a quarantined
+            point is left out of the figure.
         telemetry: Optional :class:`~repro.telemetry.Telemetry` handle
             recording the sweep's run metrics and sampled stage timings.
         cache: Optional shared run cache
             (:class:`repro.service.RunCache`) consulted per point before
-            simulating; a warm rerun of the same sweep pays for nothing.
+            simulating; a warm rerun of the same sweep pays for nothing,
+            and an interrupted one only for the points it had not run.
     """
     start_times = start_times if start_times is not None else np.arange(5.0, 36.0, 3.0)
     durations = durations if durations is not None else np.arange(0.5, 2.6, 0.5)
@@ -158,26 +156,16 @@ def run_figure8(
         )
         tasks.append((config, ContextAwareStrategy()))
 
-    if supervision is not None or checkpoint_path is not None:
-        from repro.resilience.supervisor import run_supervised_simulations
-
-        outcome = run_supervised_simulations(
-            tasks,
-            policy=supervision,
-            workers=workers,
-            batch_size=batch_size,
-            checkpoint_path=checkpoint_path,
-            telemetry=telemetry,
-            cache=cache,
-        )
-        # Index-aligned (None where a poison task was quarantined), so the
-        # grid zip below stays correct even with holes.
-        runs = outcome.results
-    else:
-        runs = run_simulations(
-            tasks, workers=workers, batch_size=batch_size, telemetry=telemetry,
-            cache=cache,
-        )
+    # Index-aligned (None where a poison task was quarantined), so the
+    # grid zip below stays correct even with holes.
+    runs = run_supervised_simulations(
+        tasks,
+        policy=supervision,
+        workers=workers,
+        batch_size=batch_size,
+        telemetry=telemetry,
+        cache=cache,
+    ).results
 
     for (start, duration, strategy_name), run in zip(grid, runs):
         if run is None:

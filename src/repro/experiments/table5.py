@@ -7,12 +7,10 @@ driver's prevented hazards, newly introduced hazards and prevented
 accidents can be computed from paired runs, as the paper's Table V does.
 """
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis.metrics import RunResult
-from repro.resilience.checkpoint import checkpoint_slug
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.supervisor import SupervisionPolicy
@@ -63,7 +61,6 @@ def _run_mode(
     workers: Optional[int] = None,
     batch_size: Optional[int] = None,
     supervision: Optional["SupervisionPolicy"] = None,
-    checkpoint_path: Optional[str] = None,
     telemetry: Optional["Telemetry"] = None,
     cache: Optional["RunCache"] = None,
 ) -> List[RunResult]:
@@ -80,7 +77,6 @@ def _run_mode(
         workers=workers,
         batch_size=batch_size,
         supervision=supervision,
-        checkpoint_path=checkpoint_path,
         telemetry=telemetry,
         cache=cache,
     )
@@ -91,7 +87,6 @@ def run_table5(
     workers: Optional[int] = None,
     batch_size: Optional[int] = None,
     supervision: Optional["SupervisionPolicy"] = None,
-    checkpoint_dir: Optional[str] = None,
     telemetry: Optional["Telemetry"] = None,
     cache: Optional["RunCache"] = None,
 ) -> Table5Result:
@@ -99,45 +94,33 @@ def run_table5(
 
     Args:
         scale: Grid dimensions.
-        workers: Worker processes per campaign (> 1 enables the parallel
-            executor; results are identical to a sequential run).
-        batch_size: Lockstep batch width per worker (> 1 steps that many
+        workers: Worker processes per campaign (> 1 enables the process
+            pool; results are identical to a sequential run).
+        batch_size: Lockstep batch width per chunk (> 1 steps that many
             runs through the kernel together; identical results, higher
             per-core throughput).
         supervision: Fault-tolerance policy for each campaign.
-        checkpoint_dir: Directory for per-mode crash-safe checkpoints;
-            an interrupted table resumed with the same directory pays
-            only for unfinished runs.
         telemetry: Optional :class:`~repro.telemetry.Telemetry` handle;
             all four campaigns record into the same registry.
         cache: Optional shared run cache
             (:class:`repro.service.RunCache`) consulted by all four
-            campaigns before simulating.
+            campaigns before simulating; rerunning an interrupted table
+            on the same cache directory pays only for unfinished runs.
     """
     scale = scale or ExperimentScale.from_environment()
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
     result = Table5Result()
-
-    def _checkpoint(key: str, driver: str) -> Optional[str]:
-        if checkpoint_dir is None:
-            return None
-        return os.path.join(checkpoint_dir, f"table5_{checkpoint_slug(key)}_{driver}.json")
-
     for key, strategy_cls in (
         ("fixed", ContextAwareFixedValueStrategy),
         ("strategic", ContextAwareStrategy),
     ):
         with_driver = _run_mode(
             strategy_cls, scale, driver_enabled=True, workers=workers,
-            batch_size=batch_size, supervision=supervision,
-            checkpoint_path=_checkpoint(key, "driver"), telemetry=telemetry,
+            batch_size=batch_size, supervision=supervision, telemetry=telemetry,
             cache=cache,
         )
         without_driver = _run_mode(
             strategy_cls, scale, driver_enabled=False, workers=workers,
-            batch_size=batch_size, supervision=supervision,
-            checkpoint_path=_checkpoint(key, "no-driver"), telemetry=telemetry,
+            batch_size=batch_size, supervision=supervision, telemetry=telemetry,
             cache=cache,
         )
         result.runs[f"{key}/driver"] = with_driver

@@ -10,24 +10,35 @@ records for aggregation.
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ContextManager,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.analysis.metrics import RunResult
 from repro.core.attack_types import AttackType
 from repro.core.strategies import AttackStrategy, strategy_by_name
-from repro.injection.engine import SimulationConfig, run_simulation
+from repro.injection.engine import SimulationConfig
 from repro.sim.scenarios import INITIAL_DISTANCES, Scenario
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.obs.recorder import FlightRecorderConfig
     from repro.resilience.chaos import ChaosPolicy
-    from repro.resilience.supervisor import SupervisedOutcome, SupervisionPolicy
+    from repro.resilience.supervisor import SupervisionPolicy
     from repro.service.cache import RunCache
 
 StrategyFactory = Callable[[], AttackStrategy]
+SimulationTask = Tuple[SimulationConfig, Optional[AttackStrategy]]
 
 #: A grid scenario: a name resolved through the catalog, or a fully built
 #: spec (e.g. drawn from :class:`repro.scenarios.ScenarioSampler`).
@@ -119,13 +130,12 @@ class Campaign:
                             seed=seed,
                         )
 
-    def cell_task(self, cell: CampaignCell) -> "Tuple[SimulationConfig, Optional[AttackStrategy]]":
+    def cell_task(self, cell: CampaignCell) -> SimulationTask:
         """The ``(SimulationConfig, strategy)`` pair for one grid cell.
 
-        Single place the cell → simulation mapping lives; :meth:`run_cell`
-        executes it directly and the lockstep batch executor collects many
-        of them (each call builds a fresh strategy instance, which batched
-        execution requires).
+        Single place the cell → simulation mapping lives; each call
+        builds a fresh strategy instance, which lockstep-batched
+        execution requires.
         """
         config = SimulationConfig(
             scenario=cell.scenario,
@@ -138,187 +148,81 @@ class Campaign:
         strategy = self.strategy_factory() if cell.attack_type is not None else None
         return config, strategy
 
-    def run_cell(
-        self,
-        cell: CampaignCell,
-        telemetry: Optional[Telemetry] = None,
-        recorder: Optional["FlightRecorderConfig"] = None,
-    ) -> RunResult:
-        """Run one cell of the grid."""
-        config, strategy = self.cell_task(cell)
-        return run_simulation(config, strategy, telemetry=telemetry, recorder=recorder)
-
-    def run_resilient(
-        self,
-        progress: Optional[Callable[[int, int], None]] = None,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        batch_size: Optional[int] = None,
-        supervision: Optional["SupervisionPolicy"] = None,
-        chaos: Optional["ChaosPolicy"] = None,
-        checkpoint_path: Optional[str] = None,
-        on_result: Optional[Callable[[int, RunResult], None]] = None,
-        telemetry: Optional[Telemetry] = None,
-        cache: Optional["RunCache"] = None,
-    ) -> "SupervisedOutcome":
-        """Run under supervision, returning results *and* the recovery trail.
-
-        The :class:`~repro.resilience.SupervisedOutcome` carries the
-        cell-aligned results (``None`` where a poison cell was
-        quarantined) and the :class:`~repro.resilience.ExecutionReport`
-        (retries, pool respawns, degradations, quarantine, sims paid vs
-        loaded from the checkpoint and/or the shared run ``cache``).
-        """
-        from repro.resilience.supervisor import run_supervised_campaign
-
-        return run_supervised_campaign(
-            self,
-            policy=supervision,
-            workers=workers,
-            chunk_size=chunk_size,
-            batch_size=batch_size,
-            progress=progress,
-            chaos=chaos,
-            checkpoint_path=checkpoint_path,
-            on_result=on_result,
-            telemetry=telemetry,
-            cache=cache,
-        )
+    def tasks(self) -> List[SimulationTask]:
+        """The campaign as its task list: one :meth:`cell_task` per cell,
+        in cell order."""
+        return [self.cell_task(cell) for cell in self.cells()]
 
     def run(
         self,
         progress: Optional[Callable[[int, int], None]] = None,
-        parallel: bool = False,
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         batch_size: Optional[int] = None,
         supervision: Optional["SupervisionPolicy"] = None,
         chaos: Optional["ChaosPolicy"] = None,
-        checkpoint_path: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
         cache: Optional["RunCache"] = None,
     ) -> List[RunResult]:
-        """Run the whole campaign.
+        """Run the whole campaign: :meth:`tasks` through
+        :func:`~repro.injection.executor.run_simulations`.
+
+        Results are bit-identical whatever the worker count, batch width
+        or chunking, because every cell's seed is derived from
+        ``(master_seed, cell index)`` alone.
 
         Args:
-            progress: Optional callback ``(completed, total)`` invoked after
-                every run (sequential) or chunk of runs (parallel).
-            parallel: Run on a process pool.  Results are bit-identical to
-                a sequential run because every cell's seed is derived from
-                ``(master_seed, cell index)`` alone.
-            workers: Worker process count; a value > 1 implies
-                ``parallel=True`` (default: one worker per CPU when
-                parallel).
-            chunk_size: Cells per dispatched chunk (parallel only).
+            progress: Optional callback ``(completed, total)`` invoked
+                after every accepted chunk of runs.
+            workers: Worker process count (default 1: in-process).  The
+                tasks are pickled to the pool, so the strategy factory
+                must produce picklable strategies (the built-ins are).
+            chunk_size: Cells per dispatched chunk (default:
+                :func:`~repro.injection.executor.resolve_chunk_size`).
             batch_size: Lockstep batch width (> 1 steps that many runs
-                through the kernel together, amortising the per-step
-                Python dispatch; see :class:`repro.kernel.BatchRunner`).
-                Composes with ``workers``: each pool worker batches the
-                cells of its chunk.  Results are bit-identical either way.
+                of a chunk through the kernel together, amortising the
+                per-step Python dispatch; see
+                :class:`repro.kernel.BatchRunner`).  Composes with
+                ``workers``: each pool worker batches its chunk.
             supervision: Fault-tolerance policy
                 (:class:`repro.resilience.SupervisionPolicy`): per-chunk
                 timeouts, seeded retry/backoff, dead-worker respawn,
                 quarantine, graceful degradation.  Results stay
                 bit-identical; quarantined cells are withheld from the
-                returned list (see :meth:`run_resilient` for the report).
+                returned list (use
+                :func:`repro.resilience.run_supervised_simulations` on
+                :meth:`tasks` for the report).  Without it the first
+                failing cell raises, naming its fingerprint.
             chaos: Worker fault-injection policy (testing only); implies
                 supervision.
-            checkpoint_path: Crash-safe checkpoint file; a rerun resumes
-                paying only for unfinished cells.  Implies supervision.
-            telemetry: Optional :class:`~repro.telemetry.Telemetry` handle;
-                when given, the campaign records run/CAN/hazard counters
-                (and, sampled, per-stage timings) into it on every
-                execution path — sequential, batched, pooled and
-                supervised views merge to the same deterministic snapshot.
+            telemetry: Optional :class:`~repro.telemetry.Telemetry`
+                handle; the campaign records run/CAN/hazard counters
+                (and, sampled, per-stage timings) into it under one
+                ``campaign`` span — in-process, batched and pooled runs
+                merge to the same deterministic snapshot.
             cache: Optional shared run cache
                 (:class:`repro.service.RunCache`): every cell the cache
                 already holds is served without simulating, and fresh
                 results are stored back under their content fingerprints
-                — the returned list is bit-identical to an uncached run.
-                With ``cache`` and ``workers > 1`` the cells are pickled
-                to the pool as tasks, so the strategy factory must
-                produce picklable strategies on that path.
+                as they complete, so rerunning an interrupted campaign on
+                the same cache directory resumes it.  The returned list is
+                bit-identical to an uncached run.
         """
-        if supervision is not None or chaos is not None or checkpoint_path is not None:
-            return self.run_resilient(
-                progress=progress,
+        from repro.injection.executor import run_simulations
+
+        tasks = self.tasks()
+        span: ContextManager[Any] = nullcontext()
+        if telemetry is not None:
+            span = telemetry.span("campaign", mode="tasks", runs=len(tasks))
+        with span:
+            return run_simulations(
+                tasks,
                 workers=workers,
                 chunk_size=chunk_size,
+                progress=progress,
                 batch_size=batch_size,
                 supervision=supervision,
                 chaos=chaos,
-                checkpoint_path=checkpoint_path,
                 telemetry=telemetry,
                 cache=cache,
-            ).completed_results
-        total = self.config.total_runs
-
-        def campaign_span(mode: str):
-            if telemetry is None:
-                return nullcontext()
-            return telemetry.span("campaign", mode=mode, runs=total)
-
-        if cache is not None:
-            from repro.injection.executor import default_worker_count, run_simulations
-
-            if (parallel or workers is not None) and workers is None:
-                workers = default_worker_count()
-            tasks = [self.cell_task(cell) for cell in self.cells()]
-            with campaign_span("cached"):
-                return run_simulations(
-                    tasks,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    progress=progress,
-                    batch_size=batch_size,
-                    telemetry=telemetry,
-                    cache=cache,
-                )
-        if parallel or (workers is not None and workers > 1):
-            from repro.injection.executor import ParallelCampaignRunner
-
-            runner = ParallelCampaignRunner(
-                self,
-                workers=workers,
-                chunk_size=chunk_size,
-                batch_size=batch_size,
-                telemetry=telemetry,
             )
-            with campaign_span("parallel"):
-                return runner.run(progress=progress)
-        if batch_size is not None and batch_size > 1:
-            from repro.kernel.batch import run_batched
-
-            tasks = [self.cell_task(cell) for cell in self.cells()]
-            with campaign_span("batched"):
-                return run_batched(
-                    tasks, batch_size=batch_size, progress=progress, telemetry=telemetry
-                )
-        results: List[RunResult] = []
-        with campaign_span("sequential"):
-            for index, cell in enumerate(self.cells(), start=1):
-                results.append(self.run_cell(cell, telemetry=telemetry))
-                if progress is not None:
-                    progress(index, total)
-        return results
-
-
-def run_campaign(
-    config: CampaignConfig,
-    strategy_factory: Optional[StrategyFactory] = None,
-    workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    supervision: Optional["SupervisionPolicy"] = None,
-    checkpoint_path: Optional[str] = None,
-    telemetry: Optional[Telemetry] = None,
-    cache: Optional["RunCache"] = None,
-) -> List[RunResult]:
-    """Convenience wrapper: build and run a campaign."""
-    return Campaign(config, strategy_factory).run(
-        workers=workers,
-        batch_size=batch_size,
-        supervision=supervision,
-        checkpoint_path=checkpoint_path,
-        telemetry=telemetry,
-        cache=cache,
-    )

@@ -15,8 +15,8 @@
 * :mod:`repro.obs.journal` — the append-only **causal event journal**:
   JSONL with service-wide monotonic sequence numbers and correlation
   fields (``job_id → chunk_id → fingerprint → attempt``) fed by the
-  campaign service, the supervisor, the run cache, the search driver and
-  checkpointing, durable by group commit (every event flushed, commit
+  campaign service, the supervisor, the run cache and the search driver,
+  durable by group commit (every event flushed, commit
   points such as a job's submission and result fsynced), with rotation
   and a crash-tolerant reader that can rebuild a job's state after
   process death;

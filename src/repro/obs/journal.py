@@ -2,8 +2,8 @@
 
 One :class:`EventJournal` serves a whole service process.  Every emitter
 — the campaign service (``job.*``), the supervisor (``supervisor.*``),
-the run cache (``cache.*``), the search driver (``search.*``) and
-checkpointing (``checkpoint.*``) — appends one compact JSON line per
+the run cache (``cache.*``) and the search driver (``search.*``) —
+appends one compact JSON line per
 event, stamped with a journal-wide strictly monotonic sequence number
 and whatever correlation fields the emitter carries (``job_id`` →
 ``chunk_id`` → ``fingerprint`` → ``attempt``), so a post-mortem can walk
@@ -20,7 +20,8 @@ After a machine crash the file therefore reaches at least the last
 commit point; what a crash can lose is the info-level progress, cache
 and supervisor events of unfinished jobs.  The cache already holds
 those jobs' finished runs (every blob write is atomic and fsynced), and
-:func:`replay_jobs` reports the jobs as queued or running.  Rotation
+:func:`replay_jobs` reports the jobs as queued or running; rerunning
+them on the same cache pays only for the runs the cache lacks.  Rotation
 and :meth:`EventJournal.close` fsync as well, following
 :mod:`repro.resilience.checkpoint`'s idioms: rotation is an atomic
 ``os.replace`` to ``<path>.1`` followed by a directory fsync.  The

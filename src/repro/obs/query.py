@@ -155,8 +155,8 @@ def job_summaries(records: Iterable[Dict[str, Any]]) -> List[str]:
     """One causal summary line per job seen in the journal.
 
     Joins the ``job.*`` lifecycle with the correlated ``supervisor.*``,
-    ``cache.*``, ``search.*`` and ``checkpoint.*`` events that carried
-    the same ``job_id``.
+    ``cache.*`` and ``search.*`` events that carried the same
+    ``job_id``.
     """
     per_job: Dict[int, Dict[str, Any]] = {}
     for record in records:

@@ -1,18 +1,22 @@
 """Fault tolerance for campaign-shaped work.
 
 A system whose subject is fault injection should itself tolerate faults.
-This package supervises the execution layer so that a hung, crashed or
-lying worker process no longer kills a campaign:
+This package holds the execution layer's one task loop and what makes it
+survive a hung, crashed or lying worker process:
 
-* :mod:`repro.resilience.supervisor` — supervised dispatch over the
-  process pool: per-chunk wall-clock timeouts, bounded seeded
-  retry/backoff, dead-worker detection with pool respawn, poison-task
-  quarantine (bisection down to the offending task), and graceful
-  degradation (parallel → sequential, batched → scalar) with
-  bit-identical results;
-* :mod:`repro.resilience.checkpoint` — crash-safe campaign
-  checkpointing (atomic write-rename, fingerprint-validated), so an
-  interrupted campaign resumes paying only for unfinished runs;
+* :mod:`repro.resilience.supervisor` — :class:`SupervisedExecutor`, the
+  loop every dispatch runs through (run cache, chunking, pool, payload
+  validation, ordered accept), and the recovery a
+  :class:`SupervisionPolicy` buys: per-chunk wall-clock timeouts,
+  bounded seeded retry/backoff, dead-worker detection with pool
+  respawn, poison-task quarantine (bisection down to the offending
+  task), and graceful degradation (parallel → sequential, batched →
+  scalar) with bit-identical results.  Without a policy the first
+  failure raises.  Fresh results reach the run cache as their chunks
+  are accepted, so an interrupted dispatch resumes by rerunning it on
+  the same cache directory;
+* :mod:`repro.resilience.checkpoint` — the crash-safe write helpers
+  (atomic write-rename plus fsyncs) the cache, journal and recorder use;
 * :mod:`repro.resilience.chaos` — a deterministic fault-injection
   harness (seeded :class:`ChaosPolicy`) that makes workers crash, hang
   or corrupt their results at chosen task indices, used by the chaos
@@ -23,15 +27,8 @@ lying worker process no longer kills a campaign:
 """
 
 from repro.resilience.chaos import ChaosError, ChaosPolicy, FaultSpec, chaos_policy
-from repro.resilience.checkpoint import (
-    CampaignCheckpoint,
-    CheckpointMismatch,
-    atomic_write_bytes,
-    atomic_write_json,
-    checkpoint_slug,
-    fsync_directory,
-)
-from repro.resilience.errors import TaskExecutionError, cell_fingerprint, task_fingerprint
+from repro.resilience.checkpoint import atomic_write_bytes, atomic_write_json, fsync_directory
+from repro.resilience.errors import TaskExecutionError, task_fingerprint
 from repro.resilience.supervisor import (
     ExecutionReport,
     QuarantinedTask,
@@ -39,7 +36,6 @@ from repro.resilience.supervisor import (
     SupervisedExecutor,
     SupervisedOutcome,
     SupervisionPolicy,
-    run_supervised_campaign,
     run_supervised_simulations,
 )
 
@@ -47,18 +43,13 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "fsync_directory",
-    "CampaignCheckpoint",
-    "cell_fingerprint",
     "chaos_policy",
     "ChaosError",
     "ChaosPolicy",
-    "checkpoint_slug",
-    "CheckpointMismatch",
     "ExecutionReport",
     "FaultSpec",
     "QuarantinedTask",
     "QuarantineReport",
-    "run_supervised_campaign",
     "run_supervised_simulations",
     "SupervisedExecutor",
     "SupervisedOutcome",

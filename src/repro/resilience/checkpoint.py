@@ -1,31 +1,17 @@
-"""Crash-safe campaign checkpointing.
+"""Crash-safe file writes: write-temp, fsync, atomic rename, dir fsync.
 
-Generalizes the :class:`repro.search.driver.SearchDriver` JSON
-checkpoint/resume-by-replay idiom into a :class:`CampaignCheckpoint`
-usable by any campaign-shaped task list: the checkpoint stores every
-completed :class:`~repro.analysis.metrics.RunResult` keyed by task
-index, validated against a fingerprint of the full task list, and is
-written with the atomic write-rename pattern — a crash at any instant
-leaves either the previous checkpoint or the new one on disk, never a
-torn file.  Resuming an interrupted campaign therefore pays only for
-the runs that had not finished.
+The run cache's blobs (:mod:`repro.service.cache`), the event journal's
+rotation (:mod:`repro.obs.journal`) and the flight recorder's artifacts
+(:mod:`repro.obs.recorder`) are written through these helpers, so a
+crash at any instant leaves either the previous file or the complete
+new one on disk, never a torn file.  Resuming interrupted work is the
+run cache's job: a rerun on the same cache directory pays only for the
+runs it does not hold.
 """
 
-import hashlib
 import json
 import os
-import re
 import tempfile
-from typing import Dict, Iterable, Optional
-
-from repro.analysis.metrics import RunResult
-
-#: Campaign checkpoint format version (bumped on incompatible changes).
-CAMPAIGN_CHECKPOINT_VERSION = 1
-
-
-class CheckpointMismatch(ValueError):
-    """The checkpoint on disk does not belong to this task list."""
 
 
 def fsync_directory(path: str) -> None:
@@ -34,7 +20,7 @@ def fsync_directory(path: str) -> None:
     ``os.replace`` makes the rename itself atomic, but the *directory
     entry* pointing at the new file is only durable once the directory's
     own metadata reaches disk — without this a crash shortly after the
-    rename can lose a "committed" checkpoint or cache entry entirely.
+    rename can lose a "committed" cache entry or artifact entirely.
     Platforms that reject directory file descriptors (e.g. Windows) fall
     back to a no-op: the rename atomicity still holds there, only the
     durability-after-crash window is platform-defined.
@@ -86,127 +72,3 @@ def atomic_write_json(path: str, payload: dict) -> None:
     """Write ``payload`` as JSON with the :func:`atomic_write_bytes` contract."""
     data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     atomic_write_bytes(path, data.encode())
-
-
-def fingerprint_strings(parts: Iterable[str]) -> str:
-    """A stable hex digest over an ordered list of identity strings."""
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
-class CampaignCheckpoint:
-    """Completed-run store for one campaign-shaped task list.
-
-    Args:
-        path: Checkpoint file location.
-        fingerprint: Identity of the task list (see
-            :func:`fingerprint_strings`); a checkpoint written for a
-            different task list refuses to load.
-        total: Total number of tasks in the campaign.
-    """
-
-    def __init__(self, path: str, fingerprint: str, total: int):
-        self.path = path
-        self.fingerprint = fingerprint
-        self.total = total
-        self.loaded = 0       # results restored from disk by load()
-        self.recorded = 0     # fresh results recorded this process
-        self._results: Dict[int, dict] = {}
-        self._dirty = False
-
-    # -- resume --------------------------------------------------------------
-
-    def load(self) -> Dict[int, RunResult]:
-        """Load completed runs from disk (empty dict when none exist).
-
-        Raises :class:`CheckpointMismatch` when the file belongs to a
-        different task list, format version, or has a corrupt payload —
-        a half-written file cannot occur (atomic rename), but a stale
-        one from an edited campaign must not silently poison a resume.
-        """
-        try:
-            with open(self.path) as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return {}
-        except ValueError as error:
-            raise CheckpointMismatch(
-                f"checkpoint {self.path} is not valid JSON: {error}"
-            ) from error
-        if payload.get("version") != CAMPAIGN_CHECKPOINT_VERSION:
-            raise CheckpointMismatch(
-                f"checkpoint version {payload.get('version')!r} does not match "
-                f"{CAMPAIGN_CHECKPOINT_VERSION}"
-            )
-        if payload.get("fingerprint") != self.fingerprint:
-            raise CheckpointMismatch(
-                "checkpoint fingerprint does not match this campaign "
-                "(the task list changed since it was written)"
-            )
-        if payload.get("total") != self.total:
-            raise CheckpointMismatch(
-                f"checkpoint covers {payload.get('total')!r} tasks, campaign has "
-                f"{self.total}"
-            )
-        results: Dict[int, RunResult] = {}
-        for key, record in payload.get("results", {}).items():
-            index = int(key)
-            if not 0 <= index < self.total:
-                raise CheckpointMismatch(f"checkpoint result index {index} out of range")
-            self._results[index] = record
-            results[index] = RunResult.from_dict(record)
-        self.loaded = len(results)
-        return results
-
-    # -- recording -----------------------------------------------------------
-
-    def record(self, index: int, result: RunResult) -> None:
-        """Buffer one completed run (call :meth:`flush` to persist)."""
-        if index not in self._results:
-            self.recorded += 1
-        self._results[index] = result.to_dict()
-        self._dirty = True
-
-    def flush(self) -> None:
-        """Atomically persist the buffered state (no-op when clean)."""
-        if not self._dirty:
-            return
-        atomic_write_json(
-            self.path,
-            {
-                "version": CAMPAIGN_CHECKPOINT_VERSION,
-                "fingerprint": self.fingerprint,
-                "total": self.total,
-                "results": {str(index): record for index, record in self._results.items()},
-            },
-        )
-        self._dirty = False
-
-    @property
-    def completed(self) -> int:
-        return len(self._results)
-
-    def remove(self) -> None:
-        """Delete the checkpoint file (e.g. after a campaign finishes)."""
-        try:
-            os.remove(self.path)
-        except FileNotFoundError:
-            pass
-
-
-def checkpoint_slug(name: str) -> str:
-    """A filesystem-safe file-name fragment for a strategy/experiment name."""
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_") or "unnamed"
-
-
-def checkpoint_for_fingerprints(
-    path: Optional[str], fingerprints: Iterable[str]
-) -> Optional[CampaignCheckpoint]:
-    """Build a checkpoint for a task list identified by its fingerprints."""
-    if path is None:
-        return None
-    fingerprints = list(fingerprints)
-    return CampaignCheckpoint(path, fingerprint_strings(fingerprints), len(fingerprints))

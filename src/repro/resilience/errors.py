@@ -1,7 +1,7 @@
 """Task fingerprints and the error type that carries them.
 
 A worker-side failure used to surface as a bare pool traceback with no
-indication of *which* simulation died.  Every execution path now tags
+indication of *which* simulation died.  The task loop's chunk body tags
 failures with the task's ``(scenario, attack, seed)`` fingerprint so an
 operator (or the quarantine report) can re-run the offending simulation
 in isolation.
@@ -11,7 +11,6 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.strategies import AttackStrategy
-    from repro.injection.campaign import CampaignCell
     from repro.injection.engine import SimulationConfig
 
 
@@ -31,17 +30,6 @@ def task_fingerprint(
         f"scenario={_scenario_name(config.scenario)} attack={attack} "
         f"seed={config.seed} distance={config.initial_distance} "
         f"strategy={strategy_name}"
-    )
-
-
-def cell_fingerprint(cell: "CampaignCell", strategy_name: str = "") -> str:
-    """The fingerprint of one campaign grid cell (no strategy build needed)."""
-    attack = cell.attack_type.value if cell.attack_type is not None else "none"
-    suffix = f" strategy={strategy_name}" if strategy_name else ""
-    return (
-        f"scenario={_scenario_name(cell.scenario)} attack={attack} "
-        f"seed={cell.seed} distance={cell.initial_distance} "
-        f"repetition={cell.repetition}{suffix}"
     )
 
 

@@ -1,9 +1,30 @@
-"""Supervised fault-tolerant dispatch for campaign-shaped work.
+"""The one task loop: every dispatch of simulation tasks runs through it.
 
-:class:`SupervisedExecutor` runs a list of independent simulation tasks
-(or campaign cells) with the same bit-identical-to-sequential contract
-as :mod:`repro.injection.executor`, but survives the failure modes a
-plain process pool does not:
+:class:`SupervisedExecutor` runs a list of independent ``(SimulationConfig,
+strategy)`` tasks in-process or on a process pool and returns results
+aligned to the task list, bit-identical to a sequential run whatever the
+worker count, lockstep batch width or chunking.
+:func:`~repro.injection.executor.run_simulations`, ``Campaign.run``, the
+experiments, the search driver and the campaign service all dispatch
+through it.  Every dispatch:
+
+* serves what the shared run cache holds and cuts the rest into chunks
+  by :func:`~repro.injection.executor.resolve_chunk_size`;
+* runs every chunk through one chunk body (:func:`_run_chunk`), in-process
+  or in a pool worker: one lockstep batch on the chunk's first attempt
+  when ``batch_size > 1``, scalar runs otherwise;
+* validates every chunk payload: a result list that is short, reordered
+  or not made of :class:`~repro.analysis.metrics.RunResult` records is a
+  failed attempt;
+* accepts chunks as they complete: results land at their task indices,
+  fresh results are stored in the run cache *before* ``progress`` fires
+  (so an interrupted dispatch resumes from the cache directory), and the
+  accepted chunks' telemetry snapshots are merged in chunk order.
+
+Without a :class:`SupervisionPolicy` the first failed attempt raises its
+fingerprinted :class:`~repro.resilience.errors.TaskExecutionError`, and a
+broken pool raises :class:`BrokenProcessPool`.  A policy (or a chaos
+policy, which implies the default one) buys recovery:
 
 * **worker exceptions** — the failing chunk is retried with seeded
   exponential backoff + jitter (deterministic per ``(task, attempt)``);
@@ -11,9 +32,7 @@ plain process pool does not:
   in-flight chunks are requeued;
 * **hangs** — chunks exceeding the per-chunk wall-clock timeout cause a
   pool kill + respawn (a hung worker cannot be cancelled politely);
-* **corrupted results** — a worker payload that is short, reordered or
-  not made of :class:`~repro.analysis.metrics.RunResult` records counts
-  as a chunk failure and is retried;
+* **corrupted results** — a rejected payload is retried;
 * **poison tasks** — a chunk that keeps failing is bisected down to the
   offending task, which lands in the :class:`QuarantineReport` instead
   of aborting the campaign (partial results are never discarded);
@@ -25,14 +44,9 @@ Fault attribution across a broken pool is coarse: every chunk whose
 future reports the break is charged one attempt (the pool cannot say
 which worker died for which chunk), so quarantine decisions should be
 read together with ``pool_respawns``.
-
-The module-level :func:`run_supervised_simulations` and
-:func:`run_supervised_campaign` add crash-safe checkpointing on top
-(:class:`~repro.resilience.checkpoint.CampaignCheckpoint`): completed
-runs are recorded as chunks finish, and a resumed call pays only for
-the tasks the checkpoint does not already hold.
 """
 
+import multiprocessing
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -53,31 +67,24 @@ from typing import (
 import numpy as np
 
 from repro.analysis.metrics import RunResult
-from repro.resilience.chaos import ChaosError, ChaosPolicy
-from repro.resilience.checkpoint import CampaignCheckpoint, fingerprint_strings
-from repro.resilience.errors import TaskExecutionError, cell_fingerprint, task_fingerprint
-from repro.sim.units import DT
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.resilience.chaos import ChaosPolicy
+from repro.resilience.errors import TaskExecutionError, task_fingerprint
+from repro.telemetry import MetricsRegistry, Telemetry, TelemetryConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.injection.campaign import Campaign
     from repro.obs.journal import EventJournal
     from repro.obs.recorder import FlightRecorderConfig
     from repro.service.cache import RunCache
+    from repro.telemetry.tracing import Tracer
 
 ProgressCallback = Callable[[int, int], None]
-ResultCallback = Callable[[int, RunResult], None]
+#: One chunk entry: ``(absolute task index, (SimulationConfig, strategy))``.
+Entry = Tuple[int, Tuple[Any, Any]]
+#: What a chunk attempt returns: ``([(index, RunResult)], metrics snapshot)``.
+ChunkPayload = Tuple[List[Tuple[int, RunResult]], Optional[dict]]
 
 #: Seconds between supervision sweeps (future wait timeout).
 _POLL_SECONDS = 0.05
-
-# Worker-side state, installed by the pool initializer (or inherited by
-# forked workers through the fork-time module state).
-_FORK_CAMPAIGN: Optional["Campaign"] = None
-_WORKER_CAMPAIGN: Optional["Campaign"] = None
-_WORKER_BATCH_SIZE: Optional[int] = None
-_WORKER_CHAOS: Optional[ChaosPolicy] = None
-_WORKER_RECORDER: Optional["FlightRecorderConfig"] = None
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,6 @@ class ExecutionReport:
 
     total: int = 0                     # tasks in the campaign
     completed: int = 0                 # fresh results produced this process
-    loaded_from_checkpoint: int = 0    # results restored instead of re-run
     loaded_from_cache: int = 0         # results served by the shared run cache
     retries: int = 0                   # chunk attempts after the first
     bisections: int = 0                # failing chunks split to isolate a task
@@ -192,11 +198,6 @@ class ExecutionReport:
         """Human-readable recovery trail (what the supervisor absorbed)."""
         lines = [
             f"supervised execution: {self.completed}/{self.total} fresh"
-            + (
-                f", {self.loaded_from_checkpoint} from checkpoint"
-                if self.loaded_from_checkpoint
-                else ""
-            )
             + (f", {self.loaded_from_cache} from cache" if self.loaded_from_cache else ""),
             f"  retries={self.retries} bisections={self.bisections} "
             f"timeouts={self.timeouts} pool_respawns={self.pool_respawns} "
@@ -214,15 +215,12 @@ class ExecutionReport:
         """The report as a mergeable metrics snapshot (``supervisor.*``).
 
         Merge it into a campaign-level registry with
-        :meth:`~repro.telemetry.MetricsRegistry.merge` — the supervised
-        entry points do this automatically when given a telemetry handle.
+        :meth:`~repro.telemetry.MetricsRegistry.merge` — the executor
+        does this automatically when given a telemetry handle.
         """
         registry = MetricsRegistry()
         registry.counter("supervisor.tasks").inc(self.total)
         registry.counter("supervisor.completed").inc(self.completed)
-        registry.counter("supervisor.loaded_from_checkpoint").inc(
-            self.loaded_from_checkpoint
-        )
         registry.counter("supervisor.loaded_from_cache").inc(self.loaded_from_cache)
         registry.counter("supervisor.retries").inc(self.retries)
         registry.counter("supervisor.bisections").inc(self.bisections)
@@ -260,8 +258,8 @@ class _ChunkWork:
 
     __slots__ = ("entries", "attempts", "last_error")
 
-    def __init__(self, entries: List[Tuple[int, Any]]):
-        self.entries = entries          # [(absolute index, item), ...]
+    def __init__(self, entries: Sequence[Entry]):
+        self.entries = entries          # [(absolute index, task), ...]
         self.attempts = 0
         self.last_error: Optional[BaseException] = None
 
@@ -270,95 +268,91 @@ class _ChunkWork:
         return self.entries[0][0]
 
 
-# -- worker side --------------------------------------------------------------
+# -- the chunk body -----------------------------------------------------------
 
 
-def _init_supervised_worker(
-    campaign: Optional["Campaign"],
+def _run_chunk(
+    entries: Sequence[Entry],
     batch_size: Optional[int],
     chaos: Optional[ChaosPolicy],
-    recorder: Optional["FlightRecorderConfig"] = None,
-) -> None:
-    """Pool initializer: install campaign, batch width and chaos policy."""
-    global _WORKER_CAMPAIGN, _WORKER_BATCH_SIZE, _WORKER_CHAOS, _WORKER_RECORDER
-    _WORKER_CAMPAIGN = campaign if campaign is not None else _FORK_CAMPAIGN
-    _WORKER_BATCH_SIZE = batch_size
-    _WORKER_CHAOS = chaos
-    _WORKER_RECORDER = recorder
+    recorder: Optional["FlightRecorderConfig"],
+    telemetry_config: Optional[TelemetryConfig],
+    tracer: Optional["Tracer"] = None,
+) -> ChunkPayload:
+    """Run one chunk, in-process or in a pool worker.
 
+    A chunk of more than one task steps through one lockstep batch when
+    ``batch_size > 1``; otherwise its tasks run in turn.  A failure
+    raises :class:`TaskExecutionError` naming the task's fingerprint (a
+    batched failure names every candidate).  ``chaos`` fires its faults
+    around the tasks; the executor passes it to pool workers only, since
+    it models *worker* faults.
 
-def _run_supervised_chunk(payload):
-    """Worker body: run one chunk, consulting the installed chaos policy.
-
-    ``payload`` is ``(mode, use_batch, entries)`` with ``entries`` a list
-    of ``(absolute task index, item)``; returns ``[(index, RunResult)]``
-    in submission order (unless a chaos fault mangles it).
+    Returns the ``(index, RunResult)`` pairs in submission order (unless
+    a chaos fault mangles them) and the chunk-local metrics snapshot
+    (``None`` with telemetry off), which the parent merges only if it
+    accepts the attempt.  ``tracer`` (in-process chunks only) receives
+    the runs' spans directly.
     """
     from repro.injection.engine import run_simulation
 
-    mode, use_batch, entries = payload
-    chaos = _WORKER_CHAOS
-    recorder = _WORKER_RECORDER
-    campaign = _WORKER_CAMPAIGN if _WORKER_CAMPAIGN is not None else _FORK_CAMPAIGN
-
-    tasks = []
-    for index, item in entries:
-        if mode == "cells":
-            if campaign is None:  # pragma: no cover - defensive
-                raise RuntimeError("worker has no campaign installed")
-            config, strategy = campaign.cell_task(item)
-        else:
-            config, strategy = item
-        tasks.append((index, config, strategy))
-
-    results: List[Tuple[int, RunResult]] = []
-    if use_batch is not None and use_batch > 1 and len(tasks) > 1:
+    telemetry = None
+    if telemetry_config is not None:
+        telemetry = Telemetry(telemetry_config, tracer=tracer)
+    if batch_size is not None and batch_size > 1 and len(entries) > 1:
         from repro.kernel.batch import run_batched
 
-        if chaos is not None:
-            for index, config, strategy in tasks:
-                chaos.before_task(index, task_fingerprint(config, strategy))
+        tasks = [task for _, task in entries]
         try:
-            outputs = run_batched(
-                [(config, strategy) for _, config, strategy in tasks],
-                batch_size=use_batch,
-                recorder=recorder,
+            if chaos is not None:
+                for index, task in entries:
+                    chaos.before_task(index, task_fingerprint(*task))
+            results = run_batched(
+                tasks, batch_size=batch_size, telemetry=telemetry, recorder=recorder
             )
         except Exception as error:
             raise TaskExecutionError.wrap_batch(
-                [task_fingerprint(config, strategy) for _, config, strategy in tasks],
-                error,
+                [task_fingerprint(*task) for task in tasks], error
             ) from error
-        results = [(index, output) for (index, _, _), output in zip(tasks, outputs)]
+        pairs = [(index, result) for (index, _), result in zip(entries, results)]
     else:
-        for index, config, strategy in tasks:
+        pairs = []
+        for index, (config, strategy) in entries:
             try:
                 if chaos is not None:
                     chaos.before_task(index, task_fingerprint(config, strategy))
-                results.append(
-                    (index, run_simulation(config, strategy, recorder=recorder))
+                result = run_simulation(
+                    config, strategy, telemetry=telemetry, recorder=recorder
                 )
-            except TaskExecutionError:
-                raise
             except Exception as error:
                 raise TaskExecutionError.wrap(
                     task_fingerprint(config, strategy), error
                 ) from error
-
+            pairs.append((index, result))
     if chaos is not None:
-        results = chaos.after_chunk(results)
-    return results
+        pairs = chaos.after_chunk(pairs)
+    return pairs, None if telemetry is None else telemetry.snapshot()
 
 
-# -- the supervisor -----------------------------------------------------------
+def _pool_context():
+    """Prefer ``fork``: cheap, and workers start with the parent's imports."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
+# -- the loop -----------------------------------------------------------------
 
 
 class SupervisedExecutor:
-    """Runs campaign-shaped work under the supervision policy.
+    """Runs simulation tasks through the one task loop (see the module
+    docstring).
 
-    One executor instance runs one dispatch at a time (it keeps per-run
-    state on ``self``); results are bit-identical to a plain sequential
-    run of the same tasks whatever faults the supervisor had to absorb.
+    One instance runs one dispatch at a time (the pool size of the
+    running dispatch lives on ``self``); results are bit-identical to a
+    plain sequential run of the same tasks whatever faults the
+    supervisor had to absorb.  ``policy=None`` fails fast; ``chaos``
+    implies the default policy.
     """
 
     def __init__(
@@ -372,119 +366,138 @@ class SupervisedExecutor:
         recorder: Optional["FlightRecorderConfig"] = None,
         journal: Optional["EventJournal"] = None,
     ):
-        self.policy = policy or SupervisionPolicy()
+        if policy is None and chaos is not None:
+            policy = SupervisionPolicy()
+        self.policy = policy
         self.workers = max(1, workers if workers is not None else 1)
         self.chunk_size = chunk_size
         self.batch_size = batch_size
         self.chaos = chaos
         # The flight-recorder config ships to the workers (picklable);
         # the journal stays parent-side: causal events (retry, respawn,
-        # bisection, quarantine) are emitted from the supervision loop,
-        # which is exactly where the facts are decided.
+        # bisection, quarantine) are emitted from the loop, which is
+        # exactly where the facts are decided.
         self.recorder = recorder
         self.journal = journal
-        # Telemetry on the supervised path is parent-side only: the
-        # worker payload protocol doubles as the corruption-detection
-        # surface (see _validate) and stays untouched.  Run metrics are
-        # derived from the returned results (steps from the recorded
-        # duration; per-run CAN frame counts are not available here), and
-        # retry/bisection/quarantine markers land in the trace.
+        # Chunks record into chunk-local registries; the loop merges the
+        # snapshots of accepted attempts only, so a retried chunk is
+        # counted once.
         self.telemetry = telemetry
-        self._mode = "tasks"
-        self._campaign: Optional["Campaign"] = None
+        self._processes = self.workers
 
     def _journal_emit(self, kind: str, level: str = "info", **fields) -> None:
         if self.journal is not None:
             self.journal.emit(kind, level=level, **fields)
 
-    # -- public entry points -------------------------------------------------
-
     def run_tasks(
         self,
         tasks: Sequence[Tuple],
-        indices: Optional[Sequence[int]] = None,
         progress: Optional[ProgressCallback] = None,
-        on_result: Optional[ResultCallback] = None,
+        cache: Optional["RunCache"] = None,
     ) -> SupervisedOutcome:
-        """Run ``(SimulationConfig, strategy)`` pairs under supervision."""
-        return self._run("tasks", None, list(tasks), indices, progress, on_result)
+        """Run ``(SimulationConfig, strategy)`` pairs; results align to ``tasks``.
 
-    def run_cells(
-        self,
-        campaign: "Campaign",
-        cells: Sequence,
-        indices: Optional[Sequence[int]] = None,
-        progress: Optional[ProgressCallback] = None,
-        on_result: Optional[ResultCallback] = None,
-    ) -> SupervisedOutcome:
-        """Run campaign cells under supervision (strategy factory stays
-        campaign-side, so closure factories work on fork platforms)."""
-        return self._run("cells", campaign, list(cells), indices, progress, on_result)
+        With ``cache`` (:class:`repro.service.RunCache`) the tasks it
+        holds are served without simulating (they count toward
+        ``progress`` up front), and each fresh result is stored as its
+        chunk is accepted.  ``progress(completed, total)`` fires once per
+        accepted chunk.
+        """
+        tasks = list(tasks)
+        total = len(tasks)
+        report = ExecutionReport(total=total)
+        results: List[Optional[RunResult]] = [None] * total
+        keys: List[Optional[str]] = [None] * total
+        pending: Sequence[int] = range(total)
+        if cache is not None:
+            from repro.service.cache import partition_tasks
 
-    # -- internals -----------------------------------------------------------
+            cache = cache.with_journal(self.journal)
+            hits, pending, keys = partition_tasks(tasks, cache)
+            for index, hit in hits.items():
+                results[index] = hit
+            report.loaded_from_cache = len(hits)
+            if hits and progress is not None:
+                progress(len(hits), total)
+        snapshots: Dict[int, dict] = {}
 
-    def _fingerprint_item(self, item) -> str:
+        def accept(work: _ChunkWork, payload: ChunkPayload) -> None:
+            pairs, snapshot = payload
+            for index, result in pairs:
+                results[index] = result
+                key = keys[index]
+                if key is not None and cache is not None:
+                    cache.put(key, result)
+            report.completed += len(pairs)
+            if snapshot is not None:
+                snapshots[work.anchor] = snapshot
+            if progress is not None:
+                progress(report.loaded_from_cache + report.completed, total)
+
         try:
-            if self._mode == "cells":
-                assert self._campaign is not None
-                return cell_fingerprint(item, self._campaign.config.strategy_name)
-            config, strategy = item
-            return task_fingerprint(config, strategy)
-        except Exception:  # pragma: no cover - fingerprinting must not fail
-            return repr(item)
+            if pending:
+                self._run([(index, tasks[index]) for index in pending], report, accept)
+        finally:
+            if self.telemetry is not None:
+                # Chunk order, not completion order: the merged view is
+                # independent of scheduling.
+                for anchor in sorted(snapshots):
+                    self.telemetry.merge(snapshots[anchor])
+                self.telemetry.merge(report.metrics_snapshot())
+        return SupervisedOutcome(results=results, report=report)
 
     def _run(
         self,
-        mode: str,
-        campaign: Optional["Campaign"],
-        items: List,
-        indices: Optional[Sequence[int]],
-        progress: Optional[ProgressCallback],
-        on_result: Optional[ResultCallback],
-    ) -> SupervisedOutcome:
-        global _FORK_CAMPAIGN
-        self._mode = mode
-        self._campaign = campaign
-        if indices is None:
-            indices = list(range(len(items)))
-        if len(indices) != len(items):
-            raise ValueError("indices must align with the task list")
-        report = ExecutionReport(total=len(items))
-        results: Dict[int, RunResult] = {}
-        if not items:
-            return SupervisedOutcome(results=[], report=report)
+        entries: List[Entry],
+        report: ExecutionReport,
+        accept: Callable[[_ChunkWork, ChunkPayload], None],
+    ) -> None:
+        from repro.injection.executor import _chunked, resolve_chunk_size
 
-        from repro.injection.executor import resolve_chunk_size
-
-        entries = list(zip(indices, items))
-        chunk = resolve_chunk_size(len(entries), self.workers, self.batch_size, self.chunk_size)
+        size = resolve_chunk_size(len(entries), self.workers, self.batch_size, self.chunk_size)
         pending: Deque[_ChunkWork] = deque(
-            _ChunkWork(entries[i: i + chunk]) for i in range(0, len(entries), chunk)
+            _ChunkWork(chunk) for chunk in _chunked(entries, size)
         )
+        self._processes = min(self.workers, len(pending))
         delayed: List[Tuple[float, _ChunkWork]] = []
         inflight: Dict[Any, _ChunkWork] = {}
         deadlines: Dict[Any, Optional[float]] = {}
         pool: Optional[ProcessPoolExecutor] = None
         use_pool = self.workers > 1 and len(entries) > 1
+        timeout = self.policy.chunk_timeout if self.policy is not None else None
+        telemetry = self.telemetry
+        worker_telemetry = telemetry.worker_config() if telemetry is not None else None
         respawns = 0
+
+        def settle(work: _ChunkWork, payload) -> None:
+            problem = self._validate(work, payload)
+            if problem is None:
+                accept(work, payload)
+            else:
+                self._fail_attempt(work, TaskExecutionError(problem), pending, delayed, report)
 
         try:
             while pending or delayed or inflight:
                 now = time.monotonic()
-                still_delayed = []
-                for ready_at, work in delayed:
-                    if ready_at <= now:
-                        pending.append(work)
-                    else:
-                        still_delayed.append((ready_at, work))
-                delayed = still_delayed
+                pending.extend(work for ready_at, work in delayed if ready_at <= now)
+                delayed = [(ready_at, work) for ready_at, work in delayed if ready_at > now]
 
                 if not use_pool:
                     if pending:
-                        self._execute_inline(
-                            pending.popleft(), pending, delayed, results, report,
-                            progress, on_result,
-                        )
+                        work = pending.popleft()
+                        try:
+                            payload = _run_chunk(
+                                work.entries,
+                                self._batch_width(work),
+                                None,
+                                self.recorder,
+                                telemetry.config if telemetry is not None else None,
+                                telemetry.tracer if telemetry is not None else None,
+                            )
+                        except TaskExecutionError as error:
+                            self._fail_attempt(work, error, pending, delayed, report)
+                        else:
+                            settle(work, payload)
                     elif delayed:
                         time.sleep(max(0.0, min(at for at, _ in delayed) - now))
                     continue
@@ -494,32 +507,25 @@ class SupervisedExecutor:
                 pool_broken = False
                 while pending and pool is not None:
                     work = pending.popleft()
-                    use_batch = (
-                        self.batch_size
-                        if (
-                            self.batch_size is not None
-                            and self.batch_size > 1
-                            and len(work.entries) > 1
-                            and work.attempts == 0
-                        )
-                        else None
-                    )
                     try:
                         future = pool.submit(
-                            _run_supervised_chunk, (mode, use_batch, work.entries)
+                            _run_chunk,
+                            work.entries,
+                            self._batch_width(work),
+                            self.chaos,
+                            self.recorder,
+                            worker_telemetry,
                         )
                     except BrokenProcessPool:
+                        if self.policy is None:
+                            raise
                         # A worker died after the last sweep: respawn below
                         # and resubmit this chunk free of charge.
                         pending.appendleft(work)
                         pool_broken = True
                         break
                     inflight[future] = work
-                    deadlines[future] = (
-                        None
-                        if self.policy.chunk_timeout is None
-                        else time.monotonic() + self.policy.chunk_timeout
-                    )
+                    deadlines[future] = None if timeout is None else time.monotonic() + timeout
                 if not inflight and not pool_broken:
                     if delayed:
                         time.sleep(
@@ -535,19 +541,11 @@ class SupervisedExecutor:
                     deadlines.pop(future)
                     try:
                         payload = future.result()
-                    except BrokenProcessPool as error:
-                        pool_broken = True
-                        self._fail_attempt(work, error, pending, delayed, report)
-                    except (TaskExecutionError, ChaosError, Exception) as error:
+                    except Exception as error:
+                        pool_broken = pool_broken or isinstance(error, BrokenProcessPool)
                         self._fail_attempt(work, error, pending, delayed, report)
                     else:
-                        problem = self._validate(work, payload)
-                        if problem is None:
-                            self._record(payload, results, report, progress, on_result)
-                        else:
-                            self._fail_attempt(
-                                work, TaskExecutionError(problem), pending, delayed, report
-                            )
+                        settle(work, payload)
 
                 now = time.monotonic()
                 timed_out = [
@@ -565,14 +563,11 @@ class SupervisedExecutor:
                             level="warning",
                             anchor=work.anchor,
                             tasks=len(work.entries),
-                            timeout_s=self.policy.chunk_timeout,
+                            timeout_s=timeout,
                         )
                         self._fail_attempt(
                             work,
-                            TimeoutError(
-                                f"chunk exceeded the {self.policy.chunk_timeout}s "
-                                "wall-clock timeout"
-                            ),
+                            TimeoutError(f"chunk exceeded the {timeout}s wall-clock timeout"),
                             pending,
                             delayed,
                             report,
@@ -580,9 +575,9 @@ class SupervisedExecutor:
                     pool_broken = True  # a hung worker can only be killed
 
                 if pool_broken:
+                    assert self.policy is not None  # without one, the break raised
                     # Requeue the innocent in-flight chunks free of charge.
-                    for work in inflight.values():
-                        pending.append(work)
+                    pending.extend(inflight.values())
                     inflight.clear()
                     deadlines.clear()
                     if pool is not None:
@@ -605,143 +600,40 @@ class SupervisedExecutor:
         finally:
             if pool is not None:
                 _kill_pool(pool)
-            _FORK_CAMPAIGN = None
-            self._campaign = None
-
-        ordered: List[Optional[RunResult]] = [results.get(index) for index in indices]
-        return SupervisedOutcome(results=ordered, report=report)
 
     def _spawn_pool(self) -> ProcessPoolExecutor:
-        global _FORK_CAMPAIGN
-        from repro.injection.executor import _pool_context
+        return ProcessPoolExecutor(max_workers=self._processes, mp_context=_pool_context())
 
-        context, forked = _pool_context()
-        campaign = self._campaign
-        if self._mode == "cells" and forked:
-            # Forked workers inherit the campaign object (works for any
-            # strategy factory, including closures); non-fork platforms
-            # pickle it through the initializer instead.
-            _FORK_CAMPAIGN = campaign
-            init_campaign = None
-        else:
-            init_campaign = campaign
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=context,
-            initializer=_init_supervised_worker,
-            initargs=(init_campaign, self.batch_size, self.chaos, self.recorder),
-        )
+    def _batch_width(self, work: _ChunkWork) -> Optional[int]:
+        """Lockstep width of a chunk attempt: a failed batched attempt
+        retries scalar."""
+        return self.batch_size if work.attempts == 0 else None
 
-    def _resolve_task(self, item) -> Tuple:
-        if self._mode == "cells":
-            assert self._campaign is not None
-            return self._campaign.cell_task(item)
-        return item
-
-    def _execute_inline(
-        self,
-        work: _ChunkWork,
-        pending: Deque[_ChunkWork],
-        delayed: List[Tuple[float, _ChunkWork]],
-        results: Dict[int, RunResult],
-        report: ExecutionReport,
-        progress: Optional[ProgressCallback],
-        on_result: Optional[ResultCallback],
-    ) -> None:
-        """Run one chunk in-process (sequential mode, or after degradation).
-
-        The chaos policy deliberately does not apply here: it models
-        *worker* faults, and the in-process path is the clean fallback.
-        A chunk whose batched attempt failed retries scalar.
-        """
-        from repro.injection.engine import run_simulation
-
-        tasks = [(index, *self._resolve_task(item)) for index, item in work.entries]
-        use_batch = (
-            self.batch_size
-            if (
-                self.batch_size is not None
-                and self.batch_size > 1
-                and len(tasks) > 1
-                and work.attempts == 0
-            )
-            else None
-        )
-        try:
-            if use_batch is not None:
-                from repro.kernel.batch import run_batched
-
-                try:
-                    outputs = run_batched(
-                        [(config, strategy) for _, config, strategy in tasks],
-                        batch_size=use_batch,
-                        recorder=self.recorder,
-                    )
-                except Exception as error:
-                    raise TaskExecutionError.wrap_batch(
-                        [task_fingerprint(config, strategy) for _, config, strategy in tasks],
-                        error,
-                    ) from error
-                payload = [(index, output) for (index, _, _), output in zip(tasks, outputs)]
-            else:
-                payload = []
-                for index, config, strategy in tasks:
-                    try:
-                        payload.append(
-                            (
-                                index,
-                                run_simulation(config, strategy, recorder=self.recorder),
-                            )
-                        )
-                    except Exception as error:
-                        raise TaskExecutionError.wrap(
-                            task_fingerprint(config, strategy), error
-                        ) from error
-        except TaskExecutionError as error:
-            self._fail_attempt(work, error, pending, delayed, report)
-            return
-        self._record(payload, results, report, progress, on_result)
-
-    def _validate(self, work: _ChunkWork, payload) -> Optional[str]:
-        """Reject short, reordered or type-corrupted worker payloads."""
+    @staticmethod
+    def _validate(work: _ChunkWork, payload) -> Optional[str]:
+        """Reject short, reordered or type-corrupted chunk payloads."""
+        if not (isinstance(payload, tuple) and len(payload) == 2):
+            return f"chunk returned {type(payload).__name__}, expected (results, telemetry)"
+        pairs = payload[0]
+        if not isinstance(pairs, list):
+            return f"chunk returned {type(pairs).__name__}, expected a result list"
         expected = [index for index, _ in work.entries]
-        if not isinstance(payload, list):
-            return f"worker returned {type(payload).__name__}, expected a result list"
         got = [
             entry[0] if isinstance(entry, tuple) and len(entry) == 2 else None
-            for entry in payload
+            for entry in pairs
         ]
         if got != expected:
             return (
-                f"worker returned results for indices {got}, expected {expected} "
+                f"chunk returned results for indices {got}, expected {expected} "
                 "(short or corrupted payload)"
             )
-        for index, result in payload:
+        for index, result in pairs:
             if not isinstance(result, RunResult):
                 return (
                     f"task {index} returned {type(result).__name__}, "
                     "not a RunResult (corrupted payload)"
                 )
         return None
-
-    def _record(
-        self,
-        payload: List[Tuple[int, RunResult]],
-        results: Dict[int, RunResult],
-        report: ExecutionReport,
-        progress: Optional[ProgressCallback],
-        on_result: Optional[ResultCallback],
-    ) -> None:
-        telemetry = self.telemetry
-        for index, result in payload:
-            results[index] = result
-            report.completed += 1
-            if telemetry is not None:
-                telemetry.record_run(result, steps=int(round(result.duration / DT)))
-            if on_result is not None:
-                on_result(index, result)
-        if progress is not None:
-            progress(report.completed, report.total)
 
     def _fail_attempt(
         self,
@@ -751,10 +643,13 @@ class SupervisedExecutor:
         delayed: List[Tuple[float, _ChunkWork]],
         report: ExecutionReport,
     ) -> None:
+        policy = self.policy
+        if policy is None:
+            raise error
         work.attempts += 1
         work.last_error = error
         tracer = self.telemetry.tracer if self.telemetry is not None else None
-        if work.attempts >= self.policy.max_chunk_attempts:
+        if work.attempts >= policy.max_chunk_attempts:
             if len(work.entries) > 1:
                 # Bisect: isolate the poison task instead of retrying the
                 # whole chunk forever. Each half starts with a clean slate.
@@ -773,10 +668,8 @@ class SupervisedExecutor:
                     error=str(error),
                 )
             else:
-                index, item = work.entries[0]
-                fingerprint = getattr(error, "fingerprint", "") or self._fingerprint_item(
-                    item
-                )
+                index, task = work.entries[0]
+                fingerprint = getattr(error, "fingerprint", "") or task_fingerprint(*task)
                 report.quarantine.tasks.append(
                     QuarantinedTask(
                         index=index,
@@ -804,7 +697,7 @@ class SupervisedExecutor:
             and work.attempts == 1
         ):
             report.scalar_fallbacks += 1  # the retry below runs scalar
-        delay = self.policy.backoff_delay(work.anchor, work.attempts)
+        delay = policy.backoff_delay(work.anchor, work.attempts)
         report.backoff_seconds += delay
         if tracer is not None:
             tracer.instant(
@@ -836,73 +729,31 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-# -- checkpointed entry points ------------------------------------------------
-
-
-def _run_with_checkpoint(
-    mode: str,
-    campaign: Optional["Campaign"],
-    items: List,
-    fingerprints: List[str],
-    identity_extras: List[str],
-    policy: Optional[SupervisionPolicy],
-    workers: Optional[int],
-    chunk_size: Optional[int],
-    batch_size: Optional[int],
-    progress: Optional[ProgressCallback],
-    chaos: Optional[ChaosPolicy],
-    checkpoint_path: Optional[str],
-    on_result: Optional[ResultCallback],
+def run_supervised_simulations(
+    tasks: Sequence[Tuple],
+    policy: Optional[SupervisionPolicy] = None,
+    workers: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+    batch_size: Optional[int] = None,
+    progress: Optional[ProgressCallback] = None,
+    chaos: Optional[ChaosPolicy] = None,
     telemetry: Optional[Telemetry] = None,
     cache: Optional["RunCache"] = None,
     recorder: Optional["FlightRecorderConfig"] = None,
     journal: Optional["EventJournal"] = None,
 ) -> SupervisedOutcome:
-    total = len(items)
-    checkpoint: Optional[CampaignCheckpoint] = None
-    done: Dict[int, RunResult] = {}
-    if checkpoint_path is not None:
-        checkpoint = CampaignCheckpoint(
-            checkpoint_path,
-            fingerprint_strings(fingerprints + identity_extras),
-            total,
-        )
-        done = checkpoint.load()
-        if journal is not None:
-            journal.emit(
-                "checkpoint.loaded", path=checkpoint_path, restored=len(done), total=total
-            )
-    loaded_from_checkpoint = len(done)
+    """Run tasks through the one task loop; results plus the report.
 
-    def task_of(index: int) -> Tuple:
-        if mode == "cells":
-            assert campaign is not None
-            return campaign.cell_task(items[index])
-        return items[index]
-
-    # The shared run cache answers before any simulation is paid for:
-    # every task not already restored by the checkpoint is looked up by
-    # content fingerprint, and the hits join `done` exactly as checkpoint
-    # results do.  Fresh results are stored back from the result hook, so
-    # resume-by-replay degenerates to cache lookup on the next run.
-    cache_keys: Dict[int, str] = {}
-    loaded_from_cache = 0
-    if cache is not None:
-        cache = cache.with_journal(journal)
-        for index in range(total):
-            if index in done:
-                continue
-            config, strategy = task_of(index)
-            key = cache.fingerprint(config, strategy)
-            if key is None:
-                continue
-            cache_keys[index] = key
-            hit = cache.get(key)
-            if hit is not None:
-                done[index] = hit
-                loaded_from_cache += 1
-
-    pending_indices = [index for index in range(total) if index not in done]
+    The results align to ``tasks`` (``None`` where a poison task was
+    quarantined) and are bit-identical to a plain sequential run.  With
+    ``cache`` (:class:`repro.service.RunCache`) only the tasks the
+    shared content-addressed cache cannot serve are paid for, and fresh
+    results are stored as their chunks are accepted — so rerunning an
+    interrupted call on the same cache directory resumes it.
+    ``recorder`` arms the per-run flight recorder in every chunk;
+    ``journal`` receives the supervision and cache events (parent-side
+    only).
+    """
     executor = SupervisedExecutor(
         policy=policy,
         workers=workers,
@@ -913,136 +764,4 @@ def _run_with_checkpoint(
         recorder=recorder,
         journal=journal,
     )
-    loaded = len(done)
-    from repro.injection.executor import resolve_chunk_size
-
-    # One flush per chunk's worth of fresh results.
-    flush_every = resolve_chunk_size(
-        max(1, len(pending_indices)), executor.workers, batch_size, chunk_size
-    )
-    fresh_since_flush = 0
-
-    def hook(index: int, result: RunResult) -> None:
-        nonlocal fresh_since_flush
-        if checkpoint is not None:
-            checkpoint.record(index, result)
-            fresh_since_flush += 1
-            if fresh_since_flush >= flush_every:
-                checkpoint.flush()
-                fresh_since_flush = 0
-                if journal is not None:
-                    journal.emit("checkpoint.flush", path=checkpoint_path)
-        if cache is not None and index in cache_keys:
-            cache.put(cache_keys[index], result)
-        if on_result is not None:
-            on_result(index, result)
-
-    wrapped_progress: Optional[ProgressCallback] = None
-    if progress is not None:
-        wrapped_progress = lambda completed, _total: progress(loaded + completed, total)  # noqa: E731
-
-    if mode == "cells":
-        assert campaign is not None
-        outcome = executor.run_cells(
-            campaign,
-            [items[index] for index in pending_indices],
-            indices=pending_indices,
-            progress=wrapped_progress,
-            on_result=hook,
-        )
-    else:
-        outcome = executor.run_tasks(
-            [items[index] for index in pending_indices],
-            indices=pending_indices,
-            progress=wrapped_progress,
-            on_result=hook,
-        )
-    if checkpoint is not None:
-        checkpoint.flush()
-        if journal is not None:
-            journal.emit("checkpoint.flush", path=checkpoint_path, final=True)
-
-    merged: List[Optional[RunResult]] = [None] * total
-    for index, result in done.items():
-        merged[index] = result
-    for position, index in enumerate(pending_indices):
-        merged[index] = outcome.results[position]
-    outcome.results = merged
-    outcome.report.total = total
-    outcome.report.loaded_from_checkpoint = loaded_from_checkpoint
-    outcome.report.loaded_from_cache = loaded_from_cache
-    if telemetry is not None:
-        # Merged last so loaded_from_checkpoint is final; run metrics were
-        # recorded per result as chunks completed.
-        telemetry.merge(outcome.report.metrics_snapshot())
-    return outcome
-
-
-def run_supervised_simulations(
-    tasks: Sequence[Tuple],
-    policy: Optional[SupervisionPolicy] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    chaos: Optional[ChaosPolicy] = None,
-    checkpoint_path: Optional[str] = None,
-    on_result: Optional[ResultCallback] = None,
-    telemetry: Optional[Telemetry] = None,
-    cache: Optional["RunCache"] = None,
-    recorder: Optional["FlightRecorderConfig"] = None,
-    journal: Optional["EventJournal"] = None,
-) -> SupervisedOutcome:
-    """Supervised (and optionally checkpointed) :func:`run_simulations`.
-
-    Results are bit-identical to a plain sequential run; with
-    ``checkpoint_path`` a resumed call pays only for unfinished tasks,
-    and with ``cache`` (:class:`repro.service.RunCache`) only for tasks
-    the shared content-addressed cache cannot serve.  ``recorder`` arms
-    the per-run flight recorder in the workers; ``journal`` receives the
-    supervision and checkpoint events (parent-side only).
-    """
-    tasks = list(tasks)
-    fingerprints = [task_fingerprint(config, strategy) for config, strategy in tasks]
-    return _run_with_checkpoint(
-        "tasks", None, tasks, fingerprints, [], policy, workers, chunk_size,
-        batch_size, progress, chaos, checkpoint_path, on_result, telemetry,
-        cache, recorder, journal,
-    )
-
-
-def run_supervised_campaign(
-    campaign: "Campaign",
-    policy: Optional[SupervisionPolicy] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    chaos: Optional[ChaosPolicy] = None,
-    checkpoint_path: Optional[str] = None,
-    on_result: Optional[ResultCallback] = None,
-    telemetry: Optional[Telemetry] = None,
-    cache: Optional["RunCache"] = None,
-    recorder: Optional["FlightRecorderConfig"] = None,
-    journal: Optional["EventJournal"] = None,
-) -> SupervisedOutcome:
-    """Supervised (and optionally checkpointed) :meth:`Campaign.run`.
-
-    The checkpoint fingerprint covers every cell's ``(scenario, attack,
-    seed, distance, repetition)`` plus the campaign's strategy name,
-    driver flag and step budget, so a stale checkpoint from an edited
-    campaign refuses to load.
-    """
-    config = campaign.config
-    cells = list(campaign.cells())
-    fingerprints = [cell_fingerprint(cell, config.strategy_name) for cell in cells]
-    identity = [
-        f"strategy={config.strategy_name}",
-        f"driver={config.driver_enabled}",
-        f"max_steps={config.max_steps}",
-    ]
-    return _run_with_checkpoint(
-        "cells", campaign, cells, fingerprints, identity, policy, workers,
-        chunk_size, batch_size, progress, chaos, checkpoint_path, on_result,
-        telemetry, cache, recorder, journal,
-    )
+    return executor.run_tasks(tasks, progress=progress, cache=cache)

@@ -11,7 +11,7 @@ that axis:
 * :mod:`repro.scenarios.sampler` — parametric scenario *families* and a
   seeded :class:`ScenarioSampler` that draws unbounded variants
   deterministically from ``(master_seed, index)``, so sampled campaigns
-  stay bit-reproducible under the parallel executor.
+  stay bit-reproducible under the process pool.
 
 The declarative building blocks (:class:`ScenarioSpec`,
 :class:`ActorSpec`, :class:`ManeuverPhase`, :class:`LaneChange`) are

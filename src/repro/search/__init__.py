@@ -11,8 +11,8 @@ The packages splits into four pieces:
 * :mod:`repro.search.optimizers` — seeded generation-oriented
   optimizers (grid baseline, random, hill-climb, CEM);
 * :mod:`repro.search.driver` — the budgeted driver: memoized,
-  checkpointable, evaluating each generation as one dense lockstep
-  batch through the kernel.
+  resumable through the run cache, evaluating each generation as one
+  task list (one dense lockstep batch when batched).
 """
 
 from repro.search.driver import (

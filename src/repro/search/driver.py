@@ -3,13 +3,12 @@
 :class:`SearchDriver` owns everything around the optimizer loop:
 
 * **generation evaluation** — every generation's unevaluated points are
-  expanded into ``repetitions`` simulation tasks each and executed as
-  *one* dense batch through :func:`repro.kernel.batch.run_batched`
-  (``batch_size``), through the process pool
-  (:func:`repro.injection.executor.run_simulations`, ``workers``), or
-  sequentially — all three bit-identical, so the search trajectory is a
-  pure function of ``(space, objective, optimizer, master_seed,
-  budget)``;
+  expanded into ``repetitions`` simulation tasks each and dispatched
+  as one task list through
+  :func:`repro.injection.executor.run_simulations` — lockstep-batched
+  (``batch_size``), pooled (``workers``) or in-process, all
+  bit-identical, so the search trajectory is a pure function of
+  ``(space, objective, optimizer, master_seed, budget)``;
 * **memoization** — re-proposed points are scored from the memo instead
   of re-simulated (optimizers converge onto their incumbents, so this
   saves real simulations), while the optimizer still receives the score;
@@ -19,36 +18,23 @@
 * **audit trail** — every generation's proposals, scores and memo hits
   are recorded (:class:`GenerationRecord`), and every unique evaluation
   keeps its per-repetition seeds and outcomes (:class:`Evaluation`);
-* **checkpoint / resume** — the audit state serializes to JSON after
-  every generation; :meth:`SearchDriver.run` with ``resume_from``
-  reloads the scores and *replays* the optimizer against them, so a
-  resumed search reproduces the uninterrupted run exactly while
-  re-simulating nothing that was already paid for.
+* **resume** — with a ``run_cache`` every simulated repetition is stored
+  under its content fingerprint, so rerunning an interrupted (or
+  smaller-budget) search on the same cache directory replays the
+  optimizer against cached results and reproduces the uninterrupted
+  run while paying only for the repetitions the cache does not hold.
 
 Per-point seeds derive from ``SeedSequence([master_seed, *grid
 coordinates, repetition])`` — evaluation order never enters, which is
 what makes sequential, pooled and batched evaluation agree.
 """
 
-import json
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.metrics import RunResult
-from repro.injection.engine import run_simulation
-from repro.resilience.checkpoint import atomic_write_json
 from repro.search.objectives import Objective
 from repro.telemetry import Telemetry
 from repro.search.optimizers import Optimizer, Told
@@ -63,9 +49,6 @@ from repro.search.space import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.journal import BoundJournal, EventJournal
     from repro.service.cache import RunCache
-
-#: JSON checkpoint format version (bumped on incompatible changes).
-CHECKPOINT_VERSION = 1
 
 
 def point_seed(master_seed: int, key: PointKey, repetition: int) -> int:
@@ -97,21 +80,6 @@ class RepetitionOutcome:
             time_to_hazard=result.time_to_hazard,
             min_ttc=result.min_ttc,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "score": self.score,
-            "hazard": self.hazard,
-            "accident": self.accident,
-            "hazard_without_alert": self.hazard_without_alert,
-            "time_to_hazard": self.time_to_hazard,
-            "min_ttc": self.min_ttc,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RepetitionOutcome":
-        return cls(**payload)
 
 
 @dataclass
@@ -149,17 +117,13 @@ class SearchConfig:
             seed); the objective aggregates over them.
         master_seed: Root of every derived seed.
         batch_size: Lockstep batch width for generation evaluation
-            (> 1 routes each generation through
-            :func:`repro.kernel.batch.run_batched`).
-        workers: Process-pool width (> 1 routes through
-            :func:`repro.injection.executor.run_simulations`; tasks are
-            pickled, so decoded strategies must be picklable — the
-            built-in ones are).
+            (> 1 steps a generation's tasks through the kernel together).
+        workers: Process-pool width for generation evaluation; tasks
+            are pickled, so decoded strategies must be picklable — the
+            built-in ones are.
         stop_on_hazard: Stop as soon as an evaluation finds a hazard
             (used by evaluations-to-first-hazard comparisons and the CI
             smoke search).
-        checkpoint_path: Write the JSON search state here after every
-            generation (atomic rename); ``None`` disables.
         max_stalled_generations: Give up after this many consecutive
             generations that proposed nothing new (a fully converged
             optimizer re-asking its incumbent must not loop forever).
@@ -171,7 +135,6 @@ class SearchConfig:
     batch_size: Optional[int] = None
     workers: Optional[int] = None
     stop_on_hazard: bool = False
-    checkpoint_path: Optional[str] = None
     max_stalled_generations: int = 32
 
     def __post_init__(self):
@@ -246,66 +209,6 @@ class SearchDriver:
         # the caller bound (job_id).
         self.journal = journal
 
-    # -- checkpointing -------------------------------------------------------
-
-    def _checkpoint_payload(self, result: SearchResult) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "space": self.space.fingerprint(),
-            "objective": self.objective.name,
-            "optimizer": result.optimizer_name,
-            "master_seed": self.config.master_seed,
-            "repetitions": self.config.repetitions,
-            "evaluations": [
-                {
-                    "key": list(self.space.key(evaluation.point)),
-                    "score": evaluation.score,
-                    "repetitions": [r.to_dict() for r in evaluation.repetitions],
-                }
-                for evaluation in result.evaluations
-            ],
-        }
-
-    def _write_checkpoint(self, result: SearchResult) -> None:
-        path = self.config.checkpoint_path
-        if path is None:
-            return
-        # Same crash-safe write-rename idiom as the campaign checkpoints
-        # (repro.resilience.checkpoint): a kill at any instant leaves the
-        # previous checkpoint loadable.
-        atomic_write_json(path, self._checkpoint_payload(result))
-
-    def _load_checkpoint(
-        self, source: Union[str, dict]
-    ) -> Dict[PointKey, Tuple[float, List[RepetitionOutcome]]]:
-        if isinstance(source, str):
-            with open(source) as handle:
-                payload = json.load(handle)
-        else:
-            payload = source
-        if payload.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"checkpoint version {payload.get('version')!r} does not match "
-                f"{CHECKPOINT_VERSION}"
-            )
-        for attribute, expected in (
-            ("space", self.space.fingerprint()),
-            ("objective", self.objective.name),
-            ("master_seed", self.config.master_seed),
-            ("repetitions", self.config.repetitions),
-        ):
-            if payload.get(attribute) != expected:
-                raise ValueError(
-                    f"checkpoint {attribute} {payload.get(attribute)!r} does not "
-                    f"match the driver's {expected!r}"
-                )
-        cache: Dict[PointKey, Tuple[float, List[RepetitionOutcome]]] = {}
-        for entry in payload["evaluations"]:
-            key = tuple(int(k) for k in entry["key"])
-            outcomes = [RepetitionOutcome.from_dict(r) for r in entry["repetitions"]]
-            cache[key] = (float(entry["score"]), outcomes)
-        return cache
-
     # -- evaluation ----------------------------------------------------------
 
     def _build_tasks(self, point: Point) -> Tuple[List[SearchTask], List[int]]:
@@ -323,52 +226,32 @@ class SearchDriver:
         return tasks, seeds
 
     def _execute(self, tasks: Sequence[SearchTask]) -> List[RunResult]:
-        """Run tasks batched / pooled / sequentially (identical results).
+        """Run one generation's tasks (identical results in every mode).
 
         With a ``run_cache``, cached repetitions are served directly and
-        only the misses reach the execution back-end.
+        only the misses are simulated.
         """
-        if self.run_cache is not None:
-            from repro.service.cache import run_tasks_cached
+        from repro.injection.executor import run_simulations
 
-            return run_tasks_cached(
-                tasks, self.run_cache.with_journal(self.journal), self._execute_uncached
-            )
-        return self._execute_uncached(tasks)
-
-    def _execute_uncached(self, tasks: Sequence[SearchTask]) -> List[RunResult]:
-        config = self.config
-        telemetry = self.telemetry
-        if config.workers is not None and config.workers > 1 and len(tasks) > 1:
-            from repro.injection.executor import run_simulations
-
-            return run_simulations(
-                tasks,
-                workers=config.workers,
-                batch_size=config.batch_size,
-                telemetry=telemetry,
-            )
-        if config.batch_size is not None and config.batch_size > 1 and len(tasks) > 1:
-            from repro.kernel.batch import run_batched
-
-            return run_batched(tasks, batch_size=config.batch_size, telemetry=telemetry)
-        return [
-            run_simulation(task_config, strategy, telemetry=telemetry)
-            for task_config, strategy in tasks
-        ]
+        return run_simulations(
+            tasks,
+            workers=self.config.workers,
+            batch_size=self.config.batch_size,
+            telemetry=self.telemetry,
+            cache=self.run_cache,
+            journal=self.journal,
+        )
 
     # -- the search loop -----------------------------------------------------
 
-    def run(self, resume_from: Optional[Union[str, dict]] = None) -> SearchResult:
+    def run(self) -> SearchResult:
         """Run the search to budget exhaustion (or convergence/stop).
 
-        Args:
-            resume_from: A checkpoint path (or already-loaded payload)
-                from a previous run with the same space, objective, seed
-                and repetitions.  Scores found there are reused without
-                simulation while the optimizer replays through them, so
-                the resumed trajectory is identical to the uninterrupted
-                one.
+        A rerun on the ``run_cache`` of an earlier run with the same
+        space, objective and seed replays that run's simulations from
+        the cache, so resuming an interrupted search (or extending its
+        budget) reproduces the uninterrupted trajectory and pays only
+        for what the cache does not hold.
         """
         config = self.config
         telemetry = self.telemetry
@@ -381,9 +264,6 @@ class SearchDriver:
             config=config,
             best=None,
         )
-        cache: Dict[PointKey, Tuple[float, List[RepetitionOutcome]]] = {}
-        if resume_from is not None:
-            cache = self._load_checkpoint(resume_from)
         memo: Dict[PointKey, Evaluation] = {}
 
         generation_index = 0
@@ -412,55 +292,45 @@ class SearchDriver:
             if stalled > config.max_stalled_generations:
                 break
 
-            # Simulate what the cache cannot answer, as one dense batch.
-            to_simulate = [
-                point for point in fresh if self.space.key(point) not in cache
-            ]
+            # Evaluate the fresh points as one task list.
             tasks: List[SearchTask] = []
             seeds_by_point: List[List[int]] = []
-            for point in to_simulate:
+            for point in fresh:
                 point_tasks, seeds = self._build_tasks(point)
                 tasks.extend(point_tasks)
                 seeds_by_point.append(seeds)
-            if tasks and self.run_cache is not None:
-                stats = self.run_cache.stats
-                paid_before = stats.misses + stats.bypasses
+            outputs: List[RunResult] = []
+            paid = 0
+            if tasks:
+                stats = self.run_cache.stats if self.run_cache is not None else None
+                paid_before = stats.misses + stats.bypasses if stats is not None else 0
                 outputs = self._execute(tasks)
-                # Misses and bypasses are the tasks that actually hit the
-                # simulator; hits cost nothing.
-                paid = (stats.misses + stats.bypasses) - paid_before
-            else:
-                outputs = self._execute(tasks) if tasks else []
-                paid = len(tasks)
+                # With a cache, misses and bypasses are the tasks that
+                # actually hit the simulator; hits cost nothing.
+                paid = (
+                    stats.misses + stats.bypasses - paid_before
+                    if stats is not None
+                    else len(tasks)
+                )
             result.simulations_run += paid
-            reps = config.repetitions
-            simulated: Dict[PointKey, Tuple[float, List[RepetitionOutcome]]] = {}
-            for position, point in enumerate(to_simulate):
-                runs = outputs[position * reps:(position + 1) * reps]
-                score = self.objective(runs)
-                outcomes = [
-                    RepetitionOutcome.from_result(
-                        seeds_by_point[position][rep],
-                        self.objective.score_run(runs[rep]),
-                        runs[rep],
-                    )
-                    for rep in range(reps)
-                ]
-                simulated[self.space.key(point)] = (score, outcomes)
 
-            # Account every fresh point (simulated or cache-served) as an
-            # evaluation, in proposal order.
-            for point in fresh:
-                key = self.space.key(point)
-                score, outcomes = simulated.get(key) or cache[key]
+            # Account every fresh point as an evaluation, in proposal order.
+            reps = config.repetitions
+            for position, point in enumerate(fresh):
+                runs = outputs[position * reps:(position + 1) * reps]
                 evaluation = Evaluation(
                     index=len(result.evaluations),
                     generation=generation_index,
                     point=point,
-                    score=score,
-                    repetitions=outcomes,
+                    score=self.objective(runs),
+                    repetitions=[
+                        RepetitionOutcome.from_result(
+                            seed, self.objective.score_run(run), run
+                        )
+                        for seed, run in zip(seeds_by_point[position], runs)
+                    ],
                 )
-                memo[key] = evaluation
+                memo[self.space.key(point)] = evaluation
                 result.evaluations.append(evaluation)
                 if result.best is None or evaluation.score > result.best.score:
                     result.best = evaluation
@@ -524,7 +394,6 @@ class SearchDriver:
                     best_score=result.best.score if result.best is not None else None,
                 )
             generation_index += 1
-            self._write_checkpoint(result)
             if self.on_generation is not None:
                 self.on_generation(result)
 

@@ -62,7 +62,7 @@ def margin_score(result: RunResult) -> float:
 class Objective:
     """Base class: per-run scoring plus mean aggregation."""
 
-    #: Identifies the objective in checkpoints and experiment rows.
+    #: Identifies the objective in search results and experiment rows.
     name: str = "abstract"
     #: Whether runs must be simulated with ``track_safety_margin=True``.
     requires_margin: bool = False

@@ -19,9 +19,9 @@ Determinism contract: an optimizer's proposals are a pure function of
 ``(space, seed, generation_size)`` and the sequence of ``tell`` calls —
 never of wall-clock, evaluation order within a generation, or how the
 driver executed the simulations.  The search driver relies on this for
-checkpoint *resume by replay*: it rebuilds a fresh optimizer and replays
-ask/tell against memoized scores, reproducing the interrupted run's
-trajectory exactly.
+*resume by replay*: a rerun on the run cache of an interrupted search
+replays ask/tell against the cached results, reproducing the
+interrupted run's trajectory exactly.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ class Told:
 class Optimizer:
     """Base class: seeded RNG plus the ask/tell protocol."""
 
-    #: Registry name (also used in experiment rows and checkpoints).
+    #: Registry name (also used in search results and experiment rows).
     name: str = "abstract"
 
     def __init__(self, space: SearchSpace, seed: int = 0, generation_size: int = 8):

@@ -13,8 +13,8 @@ properties the search driver depends on:
   the integer grid coordinates (:meth:`SearchSpace.key`), never from
   evaluation order, so sequential, process-pool and lockstep-batched
   evaluation of the same points use identical seeds;
-* **JSON round-trips** — grid coordinates survive checkpoint files
-  exactly.
+* **exact round-trips** — :meth:`SearchSpace.from_key` rebuilds a point
+  from its grid coordinates bit-for-bit.
 
 :func:`attack_search_space` builds the canonical space of the paper's
 attack knobs: attack type, activation schedule (or context-predicate
@@ -109,8 +109,7 @@ class SearchSpace:
             Every call must build **fresh** objects (in particular a fresh
             strategy instance): lockstep-batched evaluation keeps many
             decoded tasks live at once.
-        name: Identifies the space in checkpoints (resume refuses to mix
-            checkpoints across differently named spaces).
+        name: Identifies the space in search results and experiment rows.
         resolution: Grid steps per unit interval; proposals are rounded
             to this grid before decoding, memoization or seeding.
     """
@@ -138,31 +137,6 @@ class SearchSpace:
     def ndim(self) -> int:
         return len(self.dimensions)
 
-    def fingerprint(self) -> Dict[str, Any]:
-        """JSON-safe identity of the point→value mapping.
-
-        Covers everything that determines how a grid key decodes into
-        parameter values: the name, the resolution and every dimension's
-        spec.  Checkpoint resume validates this, so a checkpoint cannot
-        be replayed against a space whose identically named dimensions
-        decode differently (the *decoder body* — e.g. a different
-        ``max_steps`` baked into an otherwise equal space — is opaque
-        and must be kept identical by the caller).
-        """
-        dimensions: List[List[Any]] = []
-        for dimension in self.dimensions:
-            if isinstance(dimension, Categorical):
-                dimensions.append(
-                    [dimension.name, [str(choice) for choice in dimension.choices]]
-                )
-            else:
-                dimensions.append([dimension.name, dimension.low, dimension.high])
-        return {
-            "name": self.name,
-            "resolution": self.resolution,
-            "dimensions": dimensions,
-        }
-
     # -- points -------------------------------------------------------------
 
     def quantize(self, coordinates: Sequence[float]) -> Point:
@@ -183,7 +157,7 @@ class SearchSpace:
         return tuple(round(c * resolution) for c in point)
 
     def from_key(self, key: Sequence[int]) -> Point:
-        """Rebuild the point from :meth:`key` output (checkpoint loads)."""
+        """Rebuild the point from :meth:`key` output."""
         if len(key) != self.ndim:
             raise ValueError(f"expected {self.ndim} grid coordinates, got {len(key)}")
         return tuple(int(k) / self.resolution for k in key)
@@ -352,8 +326,7 @@ def attack_search_space(
         scenario_label = f"{family.name}[*]"
     mode = "context-aware" if context_aware else "scheduled"
     # max_steps changes what a point *evaluates to* without changing any
-    # dimension, so it is part of the space identity (checkpoint resume
-    # validates the name through the fingerprint).
+    # dimension, so it is part of the space's name.
     return SearchSpace(
         dimensions,
         decoder,

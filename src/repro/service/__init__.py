@@ -10,16 +10,18 @@ loop into reusable infrastructure:
 * :mod:`repro.service.cache` — the persistent :class:`RunCache`
   (sharded JSON/zlib blobs, atomic durable writes, integrity-verified
   reads with corruption quarantine-and-recompute, LRU cap, telemetry
-  counters), consulted by ``Campaign.run``/``run_resilient``,
-  ``run_simulations``, the table/figure experiments and the search
-  driver before any simulation is paid for;
+  counters), consulted by the one task loop behind ``run_simulations``
+  (and so by ``Campaign.run``, the table/figure experiments and the
+  search driver) before any simulation is paid for, and written as
+  chunks complete — rerunning interrupted work on the same cache
+  directory is how it resumes;
 * :mod:`repro.service.jobs` / :mod:`repro.service.service` — the
   asyncio :class:`CampaignService`: queued campaign/search jobs over
-  the pool/batch back-end via ``run_in_executor``, streaming progress
-  events and partial results per job.
+  that task loop via ``run_in_executor``, streaming progress events
+  and partial results per job.
 """
 
-from repro.service.cache import CacheStats, RunCache, partition_tasks, run_tasks_cached
+from repro.service.cache import CacheStats, RunCache, partition_tasks
 from repro.service.fingerprint import (
     CODE_EPOCH_ENV,
     FingerprintUnavailable,
@@ -56,6 +58,5 @@ __all__ = [
     "partition_tasks",
     "register_strategy_fingerprint",
     "RunCache",
-    "run_tasks_cached",
     "SearchJobSpec",
 ]

@@ -34,7 +34,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import RunResult
 from repro.core.strategies import AttackStrategy
@@ -129,10 +129,10 @@ class RunCache:
         """This cache with its events sent to ``journal`` (``None``: as is).
 
         The view shares the store, the stats and the telemetry of this
-        handle; only the journal differs.  The executor, the supervisor
-        and the search driver take one per call, so a service chunk's or
-        search job's bound journal stamps its ids on the cache's events
-        without rebinding the handle that sibling threads share.
+        handle; only the journal differs.  The task loop takes one per
+        dispatch, so a service chunk's or search job's bound journal
+        stamps its ids on the cache's events without rebinding the
+        handle that sibling threads share.
         """
         if journal is None:
             return self
@@ -301,7 +301,8 @@ def partition_tasks(
     task index to its cache hit, ``pending_indices`` lists the tasks
     that must actually run (misses and bypasses), and ``keys`` holds
     each task's fingerprint (``None`` for bypasses) so fresh results can
-    be stored after execution.
+    be stored as they complete.  The task loop
+    (:class:`repro.resilience.SupervisedExecutor`) is the one caller.
     """
     cached: Dict[int, RunResult] = {}
     pending: List[int] = []
@@ -316,40 +317,3 @@ def partition_tasks(
                 continue
         pending.append(index)
     return cached, pending, keys
-
-
-def run_tasks_cached(
-    tasks: Sequence[SimulationTask],
-    cache: RunCache,
-    runner: Callable[[Sequence[SimulationTask]], Sequence[RunResult]],
-    progress: Optional[Callable[[RunResult], None]] = None,
-) -> List[RunResult]:
-    """Run a task list through the cache, delegating misses to ``runner``.
-
-    ``runner`` receives only the tasks the cache could not serve and
-    must return their results in the same order; fresh results are
-    stored back under their fingerprints.  The returned list is in
-    original task order and bit-identical to an uncached run.  The
-    optional ``progress`` callback fires once per task — for hits and
-    fresh runs alike — in task order.
-    """
-    cached, pending, keys = partition_tasks(tasks, cache)
-    fresh: Dict[int, RunResult] = {}
-    if pending:
-        computed = runner([tasks[index] for index in pending])
-        if len(computed) != len(pending):
-            raise RuntimeError(
-                f"runner returned {len(computed)} results for {len(pending)} tasks"
-            )
-        for index, result in zip(pending, computed):
-            fresh[index] = result
-            key = keys[index]
-            if key is not None:
-                cache.put(key, result)
-    results: List[RunResult] = []
-    for index in range(len(tasks)):
-        result = cached[index] if index in cached else fresh[index]
-        results.append(result)
-        if progress is not None:
-            progress(result)
-    return results

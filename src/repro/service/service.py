@@ -9,10 +9,10 @@ back-end, and answers from the shared content-addressed
 Execution model: ``concurrency`` consumer coroutines drain one shared
 job queue.  A campaign job is sharded into service-level chunks; each
 chunk is one blocking
-:func:`~repro.injection.executor.run_simulations` call (itself pooled /
-batched / supervised per the job spec, and cache-aware) pushed off the
-event loop with ``loop.run_in_executor``, so the loop stays responsive
-and concurrent jobs interleave chunk by chunk.  A search job runs a
+:func:`~repro.injection.executor.run_simulations` call (the one task
+loop: pooled / batched / supervised per the job spec, and cache-aware)
+pushed off the event loop with ``loop.run_in_executor``, so the loop
+stays responsive and concurrent jobs interleave chunk by chunk.  A search job runs a
 :class:`~repro.search.driver.SearchDriver` (sharing the same cache) in
 the executor, streaming one progress event per completed generation via
 ``call_soon_threadsafe``.
@@ -189,9 +189,7 @@ class CampaignService:
         spec = job.spec
         assert isinstance(spec, CampaignJobSpec)
         campaign = Campaign(spec.config, strategy_factory=spec.strategy_factory)
-        tasks: List[SimulationTask] = [
-            campaign.cell_task(cell) for cell in campaign.cells()
-        ]
+        tasks: List[SimulationTask] = campaign.tasks()
         total = len(tasks)
         chunk_runs = spec.chunk_runs
         if chunk_runs is None:

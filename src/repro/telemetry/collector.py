@@ -3,25 +3,24 @@
 A :class:`Telemetry` object bundles one :class:`MetricsRegistry`, an
 optional :class:`Tracer`, and the :class:`TelemetryConfig` knobs, and is
 what ``Campaign.run(telemetry=...)``, ``run_simulation``,
-``SearchDriver`` and the batch/pool executors accept.
+``SearchDriver``, the batch runner and the task loop accept.
 
 Aggregation model
 -----------------
 
-* **in-process** (sequential, lockstep-batched, SearchDriver): every run
-  records directly into the shared registry; pipelines are wrapped with
-  a sampled :class:`~repro.telemetry.probe.PipelineProbe` per run.
-* **process pool** (:class:`~repro.injection.executor.ParallelCampaignRunner`,
-  :func:`~repro.injection.executor.run_simulations`): workers accumulate
-  into chunk-local registries and ship snapshots back with the results;
-  the parent merges them **in chunk order** after collection, so the
-  merged view is identical to the sequential one (pinned by the
-  determinism tests) even though chunks complete out of order.
-* **supervised** (:mod:`repro.resilience.supervisor`): the parent records
-  supervision counters (retries, timeouts, respawns, backoff) and
-  result-derived run metrics; worker-side stage probes are off on this
-  path (the payload protocol is the supervisor's corruption-detection
-  surface and stays untouched).
+Every dispatch goes through the one task loop
+(:class:`repro.resilience.SupervisedExecutor`), and every chunk of it
+records into a **chunk-local** registry: in-process chunks and pool
+workers alike, each run wrapped with a sampled
+:class:`~repro.telemetry.probe.PipelineProbe`.  A chunk returns its
+snapshot with its results; the parent merges the snapshots of the
+attempts it *accepts* **in chunk order**, so a retried chunk counts
+once and the deterministic view (outside ``perf.*`` and the loop's
+``supervisor.*`` report counters, merged last) is identical whatever
+the worker count, batch width, chunking, completion order or recovery
+the supervisor performed (pinned by the cross-mode tests).  In-process chunks record spans into
+the parent's tracer; pool workers trace nothing (their clocks are not
+aligned with the parent's timebase).
 
 The config is a small frozen dataclass so it pickles cheaply to workers;
 the registry pickles as its snapshot.

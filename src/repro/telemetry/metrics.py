@@ -8,9 +8,11 @@ execution model of the rest of the library:
   registries and ship plain :meth:`MetricsRegistry.snapshot` dicts back
   to the parent, which merges them;
 * **mergeable** — counters and histograms merge by summation (histogram
-  merge is associative and commutative, pinned by a hypothesis test), so
-  a campaign-level view aggregates identically whether the runs executed
-  sequentially, through the process pool, or lockstep-batched;
+  merge is associative and commutative, pinned by a hypothesis test; a
+  histogram's sum is kept exactly, so even a float-valued one merges to
+  the same bits in any grouping), so a campaign-level view aggregates
+  identically whatever the chunking, the worker count or the batch
+  width;
 * **deterministic vs. timing split** — metrics whose values depend on
   wall clocks live under the ``perf.`` prefix; everything else must be a
   pure function of the simulated work (run counts, hazard counts, CAN
@@ -25,7 +27,10 @@ happens through snapshot merges, not shared memory).
 """
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from fractions import Fraction
 
 try:  # optional vectorised record_many fast path; bisect fallback below
     import numpy as _np
@@ -108,6 +113,14 @@ class Gauge:
         return f"Gauge({self.name!r}, {self.value})"
 
 
+def _fraction(*value) -> "Fraction":
+    """An exact :class:`~fractions.Fraction` (imported on first use: only
+    float-valued histograms need one)."""
+    from fractions import Fraction
+
+    return Fraction(*value)
+
+
 class Histogram:
     """A fixed-bucket histogram with sum/count/min/max.
 
@@ -116,9 +129,16 @@ class Histogram:
     last bound (Prometheus's ``+Inf`` bucket).  Recording is a C-level
     ``bisect`` plus two adds — cheap enough for sampled per-stage timing
     at full rate.
+
+    The sum is exact: an integer while every sample is one (the
+    nanosecond timings), a :class:`~fractions.Fraction` once a float
+    arrives (a float is a binary fraction).  Chunk histograms merged in
+    any grouping therefore hold the very sum one histogram of every
+    sample would, where a float sum would differ in its last bits with
+    the chunking.
     """
 
-    __slots__ = ("name", "bounds", "counts", "sum", "count", "min", "max")
+    __slots__ = ("name", "bounds", "counts", "_sum", "count", "min", "max")
     kind = "histogram"
 
     def __init__(self, name: str, bounds: Sequence[float] = NS_BUCKETS):
@@ -127,14 +147,18 @@ class Histogram:
         if not self.bounds or list(self.bounds) != sorted(set(self.bounds)):
             raise ValueError(f"histogram bounds must be strictly increasing: {bounds}")
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
-        self.sum = 0.0
+        self._sum: Union[int, "Fraction"] = 0
         self.count = 0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
+    @property
+    def sum(self) -> float:
+        return float(self._sum)
+
     def record(self, value: float) -> None:
         self.counts[bisect_left(self.bounds, value)] += 1
-        self.sum += value
+        self._sum += value if type(value) is int else _fraction(value)
         self.count += 1
         if self.min is None or value < self.min:
             self.min = value
@@ -173,7 +197,7 @@ class Histogram:
                     counts[index] += position - previous
                     previous = position
                 counts[len(self.bounds)] += count - previous
-                self.sum += int(ordered_array.sum())
+                self._sum += int(ordered_array.sum())
                 self.count += count
                 if self.min is None or low < self.min:
                     self.min = low
@@ -189,7 +213,10 @@ class Histogram:
             counts[index] += position - previous
             previous = position
         counts[len(self.bounds)] += len(ordered) - previous
-        self.sum += sum(ordered)
+        if all(type(value) is int for value in ordered):
+            self._sum += sum(ordered)
+        else:
+            self._sum += sum(map(_fraction, ordered))
         self.count += len(ordered)
         if self.min is None or ordered[0] < self.min:
             self.min = ordered[0]
@@ -224,7 +251,7 @@ class Histogram:
             )
         for index, count in enumerate(other.counts):
             self.counts[index] += count
-        self.sum += other.sum
+        self._sum += other._sum
         self.count += other.count
         if other.min is not None and (self.min is None or other.min < self.min):
             self.min = other.min
@@ -232,10 +259,12 @@ class Histogram:
             self.max = other.max
 
     def to_dict(self) -> dict:
+        exact = self._sum
         return {
             "bounds": list(self.bounds),
             "counts": list(self.counts),
             "sum": self.sum,
+            "exact_sum": [exact.numerator, exact.denominator],
             "count": self.count,
             "min": self.min,
             "max": self.max,
@@ -245,7 +274,13 @@ class Histogram:
     def from_dict(cls, name: str, payload: dict) -> "Histogram":
         histogram = cls(name, payload["bounds"])
         histogram.counts = [int(count) for count in payload["counts"]]
-        histogram.sum = float(payload["sum"])
+        exact = payload.get("exact_sum")
+        if exact is None:  # written before sums were exact
+            histogram._sum = _fraction(payload["sum"])
+        elif exact[1] == 1:
+            histogram._sum = int(exact[0])
+        else:
+            histogram._sum = _fraction(*exact)
         histogram.count = int(payload["count"])
         histogram.min = payload["min"]
         histogram.max = payload["max"]

@@ -1,7 +1,5 @@
 """Integration tests for the campaign runner and the experiment harness."""
 
-import os
-
 import pytest
 
 from repro.core.attack_types import AttackType
@@ -117,20 +115,19 @@ class TestExperimentHarness:
                 workers=2,
                 batch_size=4,
                 supervision=SupervisionPolicy(backoff_base=0.01, max_chunk_attempts=2),
-                checkpoint_dir=str(tmp_path),
                 telemetry=telemetry,
+                cache=RunCache(str(tmp_path / "cache")),
             )
 
         telemetry = Telemetry(TelemetryConfig(trace=True))
         result = supervised_table(telemetry)
-        # The poisoned chunk is as small as the largest strategy's own
-        # dispatch would cut it (6 runs on 2 workers at batch 4: 3), not
-        # a share of the whole 13-run table.
+        # The table is one dispatch cut by the one chunk rule: the
+        # poisoned chunk is a share of the whole 13-run table.
         bisected = [
             args["tasks"] for name, _, _, _, args in telemetry.tracer
             if name == "supervisor.bisect"
         ]
-        assert max(bisected) == resolve_chunk_size(len(ALL_ATTACK_TYPES), 2, 4) == 3
+        assert max(bisected) == resolve_chunk_size(13, 2, 4) == 7
         poisoned = result.runs[_PoisonedCellStrategy.name]
         assert [run.attack_type for run in poisoned] == [
             attack.value for attack in ALL_ATTACK_TYPES if attack is not AttackType.DECELERATION
@@ -139,7 +136,9 @@ class TestExperimentHarness:
         for name in (NoAttackStrategy.name, ContextAwareStrategy.name):
             assert result.runs[name] == sequential_table4.runs[name]
             assert repr(result.summary_for(name)) == repr(sequential_table4.summary_for(name))
-        assert os.listdir(tmp_path) == ["table4.json"]
+        # The unregistered poisoned strategy bypasses the cache; the rest
+        # of the table is stored there as its chunks are accepted.
+        assert len(RunCache(str(tmp_path / "cache"))) == 1 + len(ALL_ATTACK_TYPES)
 
         resumed = supervised_table()
         assert resumed.runs == result.runs
@@ -174,6 +173,22 @@ class TestExperimentHarness:
         assert len(result.context_aware_points()) >= 1
         assert all(point.hazard for point in result.context_aware_points())
         assert "critical start-time window" in result.format()
+
+    def test_figure8_rerun_on_its_cache_pays_for_nothing(self, tmp_path):
+        import numpy as np
+
+        sweep = dict(
+            scenario="S1",
+            initial_distance=50.0,
+            start_times=np.array([5.0, 30.0]),
+            durations=np.array([0.5]),
+            context_aware_seeds=[1],
+        )
+        cold = run_figure8(cache=RunCache(str(tmp_path)), **sweep)
+        cache = RunCache(str(tmp_path))
+        warm = run_figure8(cache=cache, **sweep)
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.writes) == (3, 0, 0)
+        assert warm.points == cold.points
 
     def test_search_attack_reduced_comparison(self):
         from repro.experiments import run_search_attack

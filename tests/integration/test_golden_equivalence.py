@@ -78,7 +78,7 @@ class TestParallelKernelDeterminism:
             max_steps=1500,
         )
         sequential = Campaign(config).run(workers=1)
-        parallel = Campaign(config).run(workers=4, parallel=True)
+        parallel = Campaign(config).run(workers=4)
         assert len(sequential) == len(parallel) == config.total_runs
         assert sequential == parallel
 

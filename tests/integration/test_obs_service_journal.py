@@ -20,7 +20,7 @@ from repro.injection.campaign import Campaign, CampaignConfig
 from repro.obs.journal import EventJournal, job_event_stream, read_journal, replay_jobs
 from repro.obs.query import job_summaries
 from repro.resilience.chaos import ChaosPolicy, FaultSpec
-from repro.resilience.supervisor import SupervisionPolicy, run_supervised_campaign
+from repro.resilience.supervisor import SupervisionPolicy, run_supervised_simulations
 from repro.service import CampaignJobSpec, CampaignService, RunCache
 
 EPOCH = "obs-journal-test"
@@ -259,8 +259,8 @@ class TestSupervisorJournal:
             state_dir=str(tmp_path / "chaos"),
             seed=7,
         )
-        outcome = run_supervised_campaign(
-            Campaign(_grid(repetitions=6, max_steps=100)),
+        outcome = run_supervised_simulations(
+            Campaign(_grid(repetitions=6, max_steps=100)).tasks(),
             policy=SupervisionPolicy(max_chunk_attempts=3, backoff_base=0.0),
             workers=2,
             chunk_size=2,
@@ -276,30 +276,40 @@ class TestSupervisorJournal:
         assert kinds["supervisor.respawn"] == outcome.report.pool_respawns > 0
         assert all(r["job_id"] == 5 and r["chunk_id"] == 0 for r in records)
 
-    def test_checkpoint_load_and_flush_are_journaled(self, tmp_path):
+    def test_resumed_run_journals_one_cache_hit_per_restored_run(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
-        checkpoint = str(tmp_path / "campaign.ckpt")
-        campaign = Campaign(_grid(repetitions=4, max_steps=100))
+        tasks = Campaign(_grid(repetitions=4, max_steps=100)).tasks
 
         journal = EventJournal(path)
-        run_supervised_campaign(
-            campaign,
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupt_after_two(completed, _total):
+            if completed >= 2:
+                raise Interrupted()
+
+        try:
+            run_supervised_simulations(  # dies after its first chunk
+                tasks(),
+                workers=1,
+                chunk_size=2,
+                cache=RunCache(str(tmp_path / "cache"), code_epoch=EPOCH),
+                progress=interrupt_after_two,
+                journal=journal,
+            )
+        except Interrupted:
+            pass
+        outcome = run_supervised_simulations(  # resumes: two restored from the cache
+            tasks(),
             workers=1,
             chunk_size=2,
-            checkpoint_path=checkpoint,
-            journal=journal,
-        )
-        run_supervised_campaign(  # resumes: everything restored from disk
-            campaign,
-            workers=1,
-            chunk_size=2,
-            checkpoint_path=checkpoint,
+            cache=RunCache(str(tmp_path / "cache"), code_epoch=EPOCH),
             journal=journal,
         )
         journal.close()
 
-        records = read_journal(path)
-        loads = [r for r in records if r["kind"] == "checkpoint.loaded"]
-        flushes = [r for r in records if r["kind"] == "checkpoint.flush"]
-        assert len(loads) == 2 and flushes
-        assert loads[0]["restored"] == 0 and loads[1]["restored"] == 4
+        assert outcome.report.loaded_from_cache == 2
+        kinds = Counter(r["kind"] for r in read_journal(path))
+        assert kinds["cache.hit"] == 2
+        assert kinds["cache.miss"] == 4 + 2 and kinds["cache.write"] == 4

@@ -12,7 +12,7 @@ from repro.core.attack_types import AttackType
 from repro.core.strategies import ContextAwareStrategy
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.engine import SimulationConfig
-from repro.injection.executor import ParallelCampaignRunner, run_simulations
+from repro.injection.executor import run_simulations
 
 REDUCED_GRID = CampaignConfig(
     strategy_name="Context-Aware",
@@ -34,19 +34,9 @@ class TestParallelDeterminism:
             assert seq_run == par_run
 
     def test_chunk_size_does_not_change_results(self):
-        runner_small = ParallelCampaignRunner(Campaign(REDUCED_GRID), workers=2, chunk_size=1)
-        runner_large = ParallelCampaignRunner(Campaign(REDUCED_GRID), workers=2, chunk_size=5)
-        assert runner_small.run() == runner_large.run()
-
-    def test_parallel_flag_equivalent_to_workers(self):
-        config = CampaignConfig(
-            scenarios=("S1",),
-            initial_distances=(70.0,),
-            attack_types=(AttackType.DECELERATION,),
-            repetitions=2,
-            max_steps=800,
-        )
-        assert Campaign(config).run(parallel=True, workers=2) == Campaign(config).run()
+        small = run_simulations(Campaign(REDUCED_GRID).tasks(), workers=2, chunk_size=1)
+        large = run_simulations(Campaign(REDUCED_GRID).tasks(), workers=2, chunk_size=5)
+        assert small == large
 
 
 class TestExecutorPlumbing:

@@ -5,13 +5,12 @@ The deterministic fault-injection harness (:mod:`repro.resilience.chaos`)
 makes pool workers raise, crash, hang, or corrupt/short-change their
 result payloads at chosen task indices.  Each test asserts that after the
 supervisor absorbed the fault (retry, pool respawn, timeout kill,
-bisection + quarantine, degradation to sequential, checkpoint resume) the
-surviving :class:`RunResult` records equal an undisturbed sequential run
-bit for bit — the same invariant the parallel and batched executors are
-held to.
+bisection + quarantine, degradation to sequential, resume from the run
+cache) the surviving :class:`RunResult` records equal an undisturbed
+sequential run bit for bit — the same invariant the parallel and batched
+executors are held to.
 """
 
-import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -29,6 +28,7 @@ from repro.resilience import (
     run_supervised_simulations,
 )
 from repro.resilience.supervisor import SupervisedExecutor
+from repro.service import RunCache
 
 #: Tiny but non-trivial grid: 2 distances x 2 attacks x 2 reps = 8 runs.
 CAMPAIGN_CONFIG = CampaignConfig(
@@ -59,17 +59,21 @@ def _dicts(results):
     return [result.to_dict() for result in results]
 
 
+def _supervised(campaign, **kwargs):
+    return run_supervised_simulations(campaign.tasks(), **kwargs)
+
+
 class TestCleanSupervision:
     """No faults: supervision must be an invisible wrapper."""
 
     def test_sequential(self, campaign, baseline):
-        outcome = campaign.run_resilient(workers=1)
+        outcome = _supervised(campaign, workers=1, policy=FAST)
         assert _dicts(outcome.completed_results) == baseline
         assert not outcome.report.quarantine
         assert outcome.report.retries == 0
 
     def test_parallel_batched(self, campaign, baseline):
-        outcome = campaign.run_resilient(workers=2, batch_size=4)
+        outcome = _supervised(campaign, workers=2, batch_size=4, policy=FAST)
         assert _dicts(outcome.completed_results) == baseline
 
     def test_campaign_run_routes_through_supervisor(self, campaign, baseline):
@@ -83,9 +87,7 @@ class TestFaultRecovery:
 
     def _run_with_fault(self, campaign, fault, tmp_path, policy=FAST, **kwargs):
         chaos = chaos_policy([fault], state_dir=str(tmp_path / "chaos"))
-        return campaign.run_resilient(
-            workers=2, chaos=chaos, supervision=policy, **kwargs
-        )
+        return _supervised(campaign, workers=2, chaos=chaos, policy=policy, **kwargs)
 
     def test_worker_exception_is_retried(self, campaign, baseline, tmp_path):
         outcome = self._run_with_fault(
@@ -152,7 +154,7 @@ class TestFaultRecovery:
             return pool
 
         monkeypatch.setattr(SupervisedExecutor, "_spawn_pool", spawn_first_broken)
-        outcome = campaign.run_resilient(workers=2, supervision=FAST)
+        outcome = _supervised(campaign, workers=2, policy=FAST)
         assert _dicts(outcome.completed_results) == baseline
         assert outcome.report.pool_respawns == 1
         assert outcome.report.retries == 0
@@ -181,11 +183,12 @@ class TestQuarantine:
             [FaultSpec(kind="error", task_index=4, times=-1)],
             state_dir=str(tmp_path / "chaos"),
         )
-        outcome = campaign.run_resilient(
+        outcome = _supervised(
+            campaign,
             workers=2,
             chunk_size=4,  # force multi-task chunks so bisection must isolate #4
             chaos=chaos,
-            supervision=SupervisionPolicy(backoff_base=0.01, max_chunk_attempts=2),
+            policy=SupervisionPolicy(backoff_base=0.01, max_chunk_attempts=2),
         )
         assert outcome.report.quarantine.indices == [4]
         assert outcome.report.bisections >= 1
@@ -203,10 +206,11 @@ class TestQuarantine:
             [FaultSpec(kind="error", task_index=0, times=-1)],
             state_dir=str(tmp_path / "chaos"),
         )
-        outcome = campaign.run_resilient(
+        outcome = _supervised(
+            campaign,
             workers=2,
             chaos=chaos,
-            supervision=SupervisionPolicy(backoff_base=0.01, max_chunk_attempts=2),
+            policy=SupervisionPolicy(backoff_base=0.01, max_chunk_attempts=2),
         )
         with pytest.raises(TaskExecutionError, match="quarantined"):
             outcome.require_complete()
@@ -216,61 +220,63 @@ class _Interrupted(Exception):
     """Stand-in for the process dying mid-campaign."""
 
 
-class TestCheckpointResume:
+def _die_after(count):
+    """A progress callback that interrupts the run once ``count`` results
+    are in."""
+
+    def progress(completed, _total):
+        if completed >= count:
+            raise _Interrupted()
+
+    return progress
+
+
+class TestCacheResume:
+    """Resume is a rerun on the same run-cache directory."""
+
     def test_interrupted_campaign_resumes_bit_identically(self, campaign, baseline, tmp_path):
         """Kill the campaign after 3 results; the resumed run must load
-        them from the checkpoint, pay only for the rest, and produce the
+        them from the cache, pay only for the rest, and produce the
         exact results of an uninterrupted run."""
-        path = str(tmp_path / "campaign.json")
-        seen = []
-
-        def die_after_three(index, result):
-            seen.append(index)
-            if len(seen) == 3:
-                raise _Interrupted()
-
+        root = str(tmp_path / "cache")
         with pytest.raises(_Interrupted):
-            campaign.run_resilient(
-                workers=1, chunk_size=1, checkpoint_path=path, on_result=die_after_three
+            _supervised(
+                campaign, workers=1, chunk_size=1, cache=RunCache(root),
+                progress=_die_after(3),
             )
-        assert os.path.exists(path)
+        assert len(RunCache(root)) == 3
 
-        outcome = campaign.run_resilient(workers=1, checkpoint_path=path)
-        assert outcome.report.loaded_from_checkpoint == 3
+        outcome = _supervised(campaign, workers=1, cache=RunCache(root))
+        assert outcome.report.loaded_from_cache == 3
         assert outcome.report.sims_paid == len(baseline) - 3
         assert _dicts(outcome.completed_results) == baseline
 
-    def test_finished_checkpoint_resumes_for_free(self, campaign, baseline, tmp_path):
-        path = str(tmp_path / "campaign.json")
-        campaign.run_resilient(workers=1, checkpoint_path=path)
-        outcome = campaign.run_resilient(workers=1, checkpoint_path=path)
-        assert outcome.report.loaded_from_checkpoint == len(baseline)
+    def test_finished_run_resumes_for_free(self, campaign, baseline, tmp_path):
+        root = str(tmp_path / "cache")
+        _supervised(campaign, workers=1, cache=RunCache(root))
+        outcome = _supervised(campaign, workers=1, cache=RunCache(root))
+        assert outcome.report.loaded_from_cache == len(baseline)
         assert outcome.report.sims_paid == 0
         assert _dicts(outcome.completed_results) == baseline
 
     def test_resume_with_crash_fault_still_matches(self, campaign, baseline, tmp_path):
         """Interruption and a worker crash in the same campaign: resume +
         respawn still converge to the undisturbed results."""
-        path = str(tmp_path / "campaign.json")
-        seen = []
-
-        def die_after_two(index, result):
-            seen.append(index)
-            if len(seen) == 2:
-                raise _Interrupted()
-
+        root = str(tmp_path / "cache")
         with pytest.raises(_Interrupted):
-            campaign.run_resilient(
-                workers=1, chunk_size=1, checkpoint_path=path, on_result=die_after_two
+            _supervised(
+                campaign, workers=1, chunk_size=1, cache=RunCache(root),
+                progress=_die_after(2),
             )
 
         chaos = chaos_policy(
             [FaultSpec(kind="crash", task_index=6)], state_dir=str(tmp_path / "chaos")
         )
-        outcome = campaign.run_resilient(
-            workers=2, checkpoint_path=path, chaos=chaos, supervision=FAST
+        outcome = _supervised(
+            campaign, workers=2, cache=RunCache(root), chaos=chaos, policy=FAST
         )
-        assert outcome.report.loaded_from_checkpoint == 2
+        assert outcome.report.loaded_from_cache == 2
+        assert outcome.report.pool_respawns >= 1
         assert _dicts(outcome.completed_results) == baseline
 
 

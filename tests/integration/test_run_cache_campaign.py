@@ -4,12 +4,17 @@ The acceptance property of the run cache is *bit-identity*: a cached
 campaign (cold or warm, sequential, pooled or batched) returns exactly
 the ``RunResult`` sequence of an uncached run — the cache only changes
 what is paid.  A warm pass must pay zero simulations, supervised runs
-must report cache hits distinctly from checkpoint loads, and a search
+must report their cache hits, an interrupted cached run must resume
+from the cache paying only for what it had not finished, and a search
 driver sharing the cache must follow the identical trajectory.
 """
 
+import pytest
+
 from repro.core.attack_types import AttackType
 from repro.injection.campaign import Campaign, CampaignConfig
+from repro.injection.executor import run_simulations
+from repro.resilience import SupervisionPolicy, run_supervised_simulations
 from repro.search.driver import SearchConfig, SearchDriver
 from repro.search.objectives import HazardObjective
 from repro.search.optimizers import make_optimizer
@@ -93,19 +98,50 @@ class TestBitIdentity:
 
 class TestSupervisedCache:
     def test_supervised_warm_run_reports_cache_hits(self, tmp_path):
-        from repro.resilience.supervisor import SupervisionPolicy
-
         cache = _cache(tmp_path)
         policy = SupervisionPolicy(max_chunk_attempts=2)
         baseline = Campaign(GRID).run()
-        cold = Campaign(GRID).run_resilient(supervision=policy, cache=cache)
+        cold = run_supervised_simulations(Campaign(GRID).tasks(), policy=policy, cache=cache)
         assert cold.results == baseline
         assert cold.report.loaded_from_cache == 0
-        warm = Campaign(GRID).run_resilient(supervision=policy, cache=cache)
+        warm = run_supervised_simulations(Campaign(GRID).tasks(), policy=policy, cache=cache)
         assert warm.results == baseline
         assert warm.report.loaded_from_cache == GRID.total_runs
         assert warm.report.sims_paid == 0
         assert "from cache" in warm.report.summary()
+
+
+class _Interrupted(Exception):
+    """Stand-in for the process dying mid-campaign."""
+
+
+class TestInterruptedRunResumesFromCache:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupted_cached_run_resumes_bit_identically(self, tmp_path, workers):
+        """Runs accepted before the interruption are in the cache, so a
+        rerun on the same directory pays only for the rest."""
+        baseline = Campaign(GRID).run()
+        total = len(baseline)
+
+        def die_after_three(completed, _total):
+            if completed >= 3:
+                raise _Interrupted()
+
+        with pytest.raises(_Interrupted):
+            run_simulations(
+                Campaign(GRID).tasks(),
+                workers=workers,
+                chunk_size=1,
+                cache=_cache(tmp_path),
+                progress=die_after_three,
+            )
+        resumed = run_supervised_simulations(Campaign(GRID).tasks(), cache=_cache(tmp_path))
+        report = resumed.report
+        assert report.loaded_from_cache >= 3
+        assert report.sims_paid == total - report.loaded_from_cache
+        assert [run.to_dict() for run in resumed.results] == [
+            run.to_dict() for run in baseline
+        ]
 
 
 class TestSearchCache:

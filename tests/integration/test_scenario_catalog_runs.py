@@ -105,7 +105,7 @@ class TestSampledCampaignDeterminism:
         config = self._config(100)
         assert config.total_runs == 100
         sequential = Campaign(config).run()
-        parallel = Campaign(config).run(parallel=True, workers=4)
+        parallel = Campaign(config).run(workers=4)
         assert sequential == parallel
 
     def test_sampled_runs_record_family_scenario_names(self):

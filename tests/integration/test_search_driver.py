@@ -2,13 +2,11 @@
 
 Pins the subsystem's contracts: bit-identical search trajectories across
 sequential, process-pool and lockstep-batched evaluation; memoization
-(no duplicate simulation of repeated proposals); checkpoint/resume
-reproducing the uninterrupted run; and the acceptance benchmark — on a
+(no duplicate simulation of repeated proposals); resume from the run
+cache reproducing the uninterrupted run; and the acceptance benchmark — on a
 pinned seeded case every adaptive optimizer finds a hazard-inducing
 attack point in fewer simulator evaluations than the exhaustive grid.
 """
-
-import json
 
 import pytest
 
@@ -17,6 +15,7 @@ from repro.search.driver import SearchConfig, SearchDriver, point_seed
 from repro.search.objectives import HazardObjective
 from repro.search.optimizers import Optimizer, make_optimizer
 from repro.search.space import attack_search_space
+from repro.service.cache import RunCache
 
 PINNED_SEED = 2022
 
@@ -123,9 +122,12 @@ class TestMemoization:
             assert len(set(seeds)) == 3
 
 
-class TestCheckpointResume:
+def _cache(tmp_path):
+    return RunCache(str(tmp_path / "cache"), code_epoch="search-resume-test")
+
+
+class TestCacheResume:
     def test_resume_reproduces_the_uninterrupted_run(self, tmp_path):
-        checkpoint = str(tmp_path / "search.json")
         objective = HazardObjective()
 
         uninterrupted = SearchDriver(
@@ -133,59 +135,57 @@ class TestCheckpointResume:
             SearchConfig(budget=10, master_seed=PINNED_SEED),
         ).run()
 
-        # An interrupted run: half the budget, checkpointing as it goes.
+        # An interrupted run: half the budget, storing every simulation.
         interrupted = SearchDriver(
             _space(max_steps=1200), objective, _factory("cem"),
-            SearchConfig(budget=5, master_seed=PINNED_SEED, checkpoint_path=checkpoint),
+            SearchConfig(budget=5, master_seed=PINNED_SEED),
+            run_cache=_cache(tmp_path),
         ).run()
         assert interrupted.evaluations_used == 5
 
         resumed = SearchDriver(
             _space(max_steps=1200), objective, _factory("cem"),
             SearchConfig(budget=10, master_seed=PINNED_SEED),
-        ).run(resume_from=checkpoint)
+            run_cache=_cache(tmp_path),
+        ).run()
 
         assert _signature(resumed) == _signature(uninterrupted)
-        # The resumed run only paid for what the checkpoint did not cover.
+        # The resumed run only paid for what the cache did not hold.
         assert resumed.simulations_run == (
             uninterrupted.simulations_run - interrupted.simulations_run
         )
 
-    def test_checkpoint_is_valid_json_with_point_keys(self, tmp_path):
-        checkpoint = str(tmp_path / "search.json")
-        SearchDriver(
-            _space(max_steps=800), HazardObjective(), _factory("random"),
-            SearchConfig(budget=3, master_seed=PINNED_SEED, checkpoint_path=checkpoint),
-        ).run()
-        with open(checkpoint) as handle:
-            payload = json.load(handle)
-        assert payload["master_seed"] == PINNED_SEED
-        assert len(payload["evaluations"]) == 3
-        for entry in payload["evaluations"]:
-            assert all(isinstance(k, int) for k in entry["key"])
-
-    def test_resume_rejects_mismatched_seed(self, tmp_path):
-        checkpoint = str(tmp_path / "search.json")
-        SearchDriver(
-            _space(max_steps=800), HazardObjective(), _factory("random"),
-            SearchConfig(budget=2, master_seed=PINNED_SEED, checkpoint_path=checkpoint),
-        ).run()
+    def _assert_shares_nothing(self, tmp_path, space, master_seed):
+        """A search that differs from the cached one hits no cache entry
+        and equals a cold run."""
+        cache = _cache(tmp_path)
         driver = SearchDriver(
-            _space(max_steps=800), HazardObjective(), _factory("random"),
-            SearchConfig(budget=2, master_seed=PINNED_SEED + 1),
+            space, HazardObjective(), _factory("random"),
+            SearchConfig(budget=2, master_seed=master_seed), run_cache=cache,
         )
-        with pytest.raises(ValueError):
-            driver.run(resume_from=checkpoint)
+        warm = driver.run()
+        assert cache.stats.hits == 0
+        cold = SearchDriver(
+            space, HazardObjective(), _factory("random"),
+            SearchConfig(budget=2, master_seed=master_seed),
+        ).run()
+        assert _signature(warm) == _signature(cold)
+        assert warm.simulations_run == cold.simulations_run
 
-    def test_resume_rejects_a_differently_shaped_space(self, tmp_path):
-        # Same space name family, different decode mapping: the grid keys
-        # would decode to different parameter values, so resume must
-        # refuse instead of serving wrong cached scores.
-        checkpoint = str(tmp_path / "search.json")
+    def _fill(self, tmp_path):
         SearchDriver(
             _space(max_steps=800), HazardObjective(), _factory("random"),
-            SearchConfig(budget=2, master_seed=PINNED_SEED, checkpoint_path=checkpoint),
+            SearchConfig(budget=2, master_seed=PINNED_SEED), run_cache=_cache(tmp_path),
         ).run()
+
+    def test_another_seed_shares_no_cache_entry(self, tmp_path):
+        self._fill(tmp_path)
+        self._assert_shares_nothing(tmp_path, _space(max_steps=800), PINNED_SEED + 1)
+
+    def test_a_differently_shaped_space_shares_no_cache_entry(self, tmp_path):
+        # Same space name family, different decode mapping: the grid keys
+        # decode to different tasks, so no cached result may serve them.
+        self._fill(tmp_path)
         for other in (
             _space(max_steps=1000),  # different simulation horizon
             attack_search_space(     # different parameter range
@@ -193,12 +193,7 @@ class TestCheckpointResume:
                 max_steps=800, start_range=(2.0, 10.0),
             ),
         ):
-            driver = SearchDriver(
-                other, HazardObjective(), _factory("random"),
-                SearchConfig(budget=2, master_seed=PINNED_SEED),
-            )
-            with pytest.raises(ValueError):
-                driver.run(resume_from=checkpoint)
+            self._assert_shares_nothing(tmp_path, other, PINNED_SEED)
 
 
 class TestStrategicBeatsExhaustive:

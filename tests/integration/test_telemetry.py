@@ -7,8 +7,9 @@ Three guarantees are pinned here:
    rate 7), so enabling observability can never change science results.
 2. **Mode-independent aggregation** — the deterministic snapshot
    (everything outside ``perf.*``) of one campaign is identical whether
-   it ran sequentially, lockstep-batched or on a process pool, and the
-   supervised path agrees on the result-derived counters.
+   it ran sequentially, lockstep-batched, on a process pool or under
+   supervision with a retried chunk (outside the ``supervisor.*``
+   report itself).
 3. **Export surfaces work end to end** — a campaign-produced registry
    renders to Prometheus text, JSON and a Perfetto-loadable JSONL trace.
 """
@@ -23,6 +24,7 @@ from repro.core.attack_types import AttackType
 from repro.core.strategies import strategy_by_name
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.engine import run_simulation
+from repro.resilience import FaultSpec, SupervisionPolicy, chaos_policy, run_supervised_simulations
 from repro.telemetry import Telemetry, TelemetryConfig, prometheus_text
 
 _GOLDEN_DIR = os.path.join(
@@ -141,10 +143,53 @@ class TestCrossModeAggregation:
             first.metrics.counter("runs.completed").value == 2 * config.total_runs
         )
 
+    def test_supervised_pooled_retry_matches_plain_telemetry(self, tmp_path):
+        """Worker telemetry of accepted attempts reaches the parent under
+        supervision too, and a retried chunk is counted once."""
+        config = _campaign_config()
+        sequential = Telemetry(TelemetryConfig())
+        baseline = Campaign(config).run(telemetry=sequential)
+
+        supervised = Telemetry(TelemetryConfig())
+        chaos = chaos_policy(
+            [FaultSpec(kind="error", task_index=5)], state_dir=str(tmp_path / "chaos")
+        )
+        outcome = run_supervised_simulations(
+            Campaign(config).tasks(),
+            policy=SupervisionPolicy(backoff_base=0.01),
+            workers=2,
+            batch_size=4,
+            chaos=chaos,
+            telemetry=supervised,
+        )
+        assert outcome.completed_results == baseline
+        assert outcome.report.retries == 1
+
+        def outside_supervisor(telemetry):
+            return {
+                section: {
+                    name: value
+                    for name, value in values.items()
+                    if not name.startswith("supervisor.")
+                }
+                for section, values in telemetry.deterministic_snapshot().items()
+            }
+
+        assert outside_supervisor(supervised) == outside_supervisor(sequential)
+        counters = supervised.snapshot()["counters"]
+        assert counters["can.frames_sent"] > 0
+        assert counters["runs.steps"] > 0
+        assert counters["supervisor.retries"] == 1
+        histograms = supervised.snapshot()["histograms"]
+        assert any(name.startswith("perf.stage.") for name in histograms)
+        assert "perf.batch.cycle_ns" in histograms
+
     def test_supervised_path_records_report_and_run_counters(self):
         config = _campaign_config()
         telemetry = Telemetry(TelemetryConfig())
-        outcome = Campaign(config).run_resilient(workers=1, telemetry=telemetry)
+        outcome = run_supervised_simulations(
+            Campaign(config).tasks(), workers=1, telemetry=telemetry
+        )
 
         report = outcome.report
         assert not report.quarantine

@@ -130,3 +130,27 @@ class TestLayerDiff:
         change["trace.overhead_share"] = {"value": 0.09, "unit": "fraction"}
         _, moved = ab.layer_diff(parent, change)
         assert moved == ["us_new"]
+
+
+class TestMedianLayers:
+    def test_median_keeps_units_and_drops_partial_layers(self):
+        rounds = [_layers(ns_a=100.0, us_b=3.0), _layers(ns_a=300.0, us_b=1.0), _layers(ns_a=200.0)]
+        merged = ab.median_layers(rounds)
+        assert merged == {"ns_a": {"value": 200.0, "unit": "ns/step"}}
+
+    def test_a_one_round_jump_is_not_named_a_steady_move_is(self):
+        parent = [
+            _layers(ns_a=100.0, ns_b=200.0, ns_c=300.0, us_jump=50.0, us_moved=1000.0)
+            for _ in range(3)
+        ]
+        # us_jump triples in one round of three (a noisy round), us_moved
+        # falls to ~0.4x in every round; the rest drift by about 1 %.
+        change = [
+            _layers(ns_a=101.0, ns_b=199.0, ns_c=300.0, us_jump=150.0, us_moved=400.0),
+            _layers(ns_a=100.0, ns_b=201.0, ns_c=302.0, us_jump=50.0, us_moved=410.0),
+            _layers(ns_a=99.0, ns_b=200.0, ns_c=298.0, us_jump=51.0, us_moved=395.0),
+        ]
+        _, one_round = ab.layer_diff(parent[0], change[0])
+        assert one_round == ["us_jump", "us_moved"]
+        _, moved = ab.layer_diff(ab.median_layers(parent), ab.median_layers(change))
+        assert moved == ["us_moved"]

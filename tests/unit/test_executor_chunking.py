@@ -1,31 +1,27 @@
-"""Edge cases of the executor's chunking rules and the crash-safe
-checkpoint file format (atomicity, fingerprint validation)."""
+"""Edge cases of the executor's chunking rules, the task loop's contract
+with its chunk body (payload validation, accept-then-cache) and the
+crash-safe atomic write helper."""
 
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.metrics import RunResult
-from repro.injection import executor
-from repro.injection.executor import (
-    ParallelCampaignRunner,
-    _chunked,
-    resolve_chunk_size,
-    run_simulations,
-)
-from repro.resilience.checkpoint import (
-    CAMPAIGN_CHECKPOINT_VERSION,
-    CampaignCheckpoint,
-    CheckpointMismatch,
-    atomic_write_json,
-    checkpoint_slug,
-    fingerprint_strings,
-)
+from repro.core.attack_types import AttackType
+from repro.core.strategies import ContextAwareStrategy
+from repro.injection.engine import SimulationConfig
+from repro.injection.executor import _chunked, resolve_chunk_size, run_simulations
+from repro.resilience.checkpoint import atomic_write_json
 from repro.resilience import supervisor
-from repro.resilience.supervisor import SupervisedExecutor
+from repro.resilience.errors import TaskExecutionError
+from repro.resilience.supervisor import (
+    SupervisedExecutor,
+    SupervisionPolicy,
+    run_supervised_simulations,
+)
+from repro.service.cache import RunCache
 
 
 class TestChunked:
@@ -84,57 +80,109 @@ class TestResolveChunkSize:
     @pytest.mark.parametrize(
         "total, workers, batch_size, chunk_size",
         [(100, 2, 16, None), (24, 2, 16, None), (1440, 2, 16, None), (1000, 4, None, None),
-         (100, 2, 16, 7)],
+         (100, 2, 16, 7), (100, 1, 16, None), (1000, 1, None, None)],
     )
     def test_every_dispatcher_cuts_by_the_same_rule(
         self, monkeypatch, total, workers, batch_size, chunk_size
     ):
-        """The campaign runner, ``run_simulations`` and the supervised
-        executor hand out chunks of the sizes the one rule gives (the
-        pools are stubbed: only the chunking is under test)."""
+        """The one task loop hands out chunks of the sizes the one rule
+        gives, pooled and in-process alike (the chunk body and the pool
+        are stubbed: only the chunking is under test)."""
         size = resolve_chunk_size(total, workers, batch_size, chunk_size)
         expected = [len(chunk) for chunk in _chunked(list(range(total)), size)]
 
-        dispatched = []
+        submitted = []
+
+        def run_chunk(entries, *args):
+            submitted.append(len(entries))
+            return [(index, _result(index)) for index, _ in entries], None
+
+        monkeypatch.setattr(supervisor, "_run_chunk", run_chunk)
         monkeypatch.setattr(
-            executor,
-            "_dispatch",
-            lambda worker_fn, chunks, *args, **kwargs: dispatched.append(
-                [len(chunk) for _, chunk in chunks]
-            ) or [],
+            SupervisedExecutor, "_spawn_pool", lambda self: ThreadPoolExecutor(max_workers=1)
         )
-        grid = SimpleNamespace(cells=lambda: list(range(total)))
-        ParallelCampaignRunner(
-            grid, workers=workers, chunk_size=chunk_size, batch_size=batch_size
-        ).run()
-        run_simulations(
+        results = run_simulations(
             [(None, None)] * total,
             workers=workers,
             chunk_size=chunk_size,
             batch_size=batch_size,
         )
-        assert dispatched == [expected, expected]
-
-        submitted = []
-
-        def run_chunk(payload):
-            _, _, entries = payload
-            submitted.append(len(entries))
-            return [(index, _result(index)) for index, _ in entries]
-
-        monkeypatch.setattr(supervisor, "_run_supervised_chunk", run_chunk)
-        monkeypatch.setattr(
-            SupervisedExecutor, "_spawn_pool", lambda self: ThreadPoolExecutor(max_workers=1)
-        )
-        SupervisedExecutor(
-            workers=workers, chunk_size=chunk_size, batch_size=batch_size
-        ).run_tasks([(None, None)] * total)
         assert submitted == expected
+        assert [result.seed for result in results] == list(range(total))
 
 
 def test_run_simulations_empty_task_list():
     assert run_simulations([]) == []
     assert run_simulations([], workers=4) == []
+
+
+class TestOneTaskLoop:
+    """The loop's contract with its chunk body, stubbed so nothing is
+    simulated: every payload is validated, with or without a policy, and
+    only accepted results reach the run cache, which is what a rerun of
+    an interrupted dispatch resumes from."""
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda pairs: pairs[:-1], "short or corrupted payload"),
+            (lambda pairs: pairs[::-1], "short or corrupted payload"),
+            (lambda pairs: [(index, "garbage") for index, _ in pairs], "not a RunResult"),
+        ],
+        ids=["short", "reordered", "not-a-result"],
+    )
+    def test_a_bad_payload_fails_fast_without_a_policy(self, monkeypatch, mangle, message):
+        def run_chunk(entries, *args):
+            return mangle([(index, _result(index)) for index, _ in entries]), None
+
+        monkeypatch.setattr(supervisor, "_run_chunk", run_chunk)
+        with pytest.raises(TaskExecutionError, match=message):
+            run_simulations([(None, None)] * 3, chunk_size=3)
+
+    def test_a_rejected_attempt_is_retried_and_never_cached(self, monkeypatch, tmp_path):
+        attempts = []
+
+        def run_chunk(entries, *args):
+            attempts.append(len(entries))
+            first = len(attempts) == 1
+            return [(index, "garbage" if first else _result(index)) for index, _ in entries], None
+
+        monkeypatch.setattr(supervisor, "_run_chunk", run_chunk)
+        outcome = run_supervised_simulations(
+            _tasks(2),
+            policy=SupervisionPolicy(backoff_base=0.0),
+            chunk_size=2,
+            cache=_cache(tmp_path),
+        )
+        assert attempts == [2, 2]
+        assert outcome.report.retries == 1
+        assert [run.to_dict() for run in outcome.results] == [_result(i).to_dict() for i in (0, 1)]
+
+        warm = run_supervised_simulations(_tasks(2), cache=_cache(tmp_path))
+        assert attempts == [2, 2]  # served from the cache, nothing paid
+        assert warm.report.loaded_from_cache == 2
+        assert [run.to_dict() for run in warm.results] == [_result(i).to_dict() for i in (0, 1)]
+
+    def test_chunks_accepted_before_a_failure_stay_in_the_cache(self, monkeypatch, tmp_path):
+        calls = []
+        failing = {2}
+
+        def run_chunk(entries, *args):
+            calls.append([index for index, _ in entries])
+            if entries[0][0] in failing:
+                raise TaskExecutionError(f"task {entries[0][0]} failed")
+            return [(index, _result(index)) for index, _ in entries], None
+
+        monkeypatch.setattr(supervisor, "_run_chunk", run_chunk)
+        with pytest.raises(TaskExecutionError, match="task 2 failed"):
+            run_simulations(_tasks(4), chunk_size=1, cache=_cache(tmp_path))
+        assert calls == [[0], [1], [2]]  # no policy: the first failure stops the loop
+
+        failing.clear()
+        resumed = run_supervised_simulations(_tasks(4), chunk_size=1, cache=_cache(tmp_path))
+        assert calls[3:] == [[2], [3]]  # the rerun pays only for what was not accepted
+        assert resumed.report.loaded_from_cache == 2
+        assert [run.seed for run in resumed.results] == [0, 1, 2, 3]
 
 
 class TestAtomicWriteJson:
@@ -161,6 +209,22 @@ class TestAtomicWriteJson:
         with open(path) as handle:
             assert json.load(handle) == {"generation": 1}
 
+    def test_failed_rename_keeps_previous_and_removes_its_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "out.json")
+        atomic_write_json(path, {"generation": 1})
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_json(path, {"generation": 2})
+        assert os.listdir(tmp_path) == ["out.json"]
+        with open(path) as handle:
+            assert json.load(handle) == {"generation": 1}
+
 
 def _result(seed: int) -> RunResult:
     return RunResult(
@@ -174,97 +238,21 @@ def _result(seed: int) -> RunResult:
     )
 
 
-class TestCampaignCheckpoint:
-    def _checkpoint(self, tmp_path, fingerprint="fp", total=3):
-        return CampaignCheckpoint(str(tmp_path / "ck.json"), fingerprint, total)
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert self._checkpoint(tmp_path).load() == {}
-
-    def test_roundtrip(self, tmp_path):
-        checkpoint = self._checkpoint(tmp_path)
-        checkpoint.record(0, _result(10))
-        checkpoint.record(2, _result(12))
-        checkpoint.flush()
-
-        resumed = self._checkpoint(tmp_path)
-        loaded = resumed.load()
-        assert sorted(loaded) == [0, 2]
-        assert loaded[0].to_dict() == _result(10).to_dict()
-        assert loaded[2].to_dict() == _result(12).to_dict()
-        assert resumed.loaded == 2
-
-    def test_flush_is_noop_when_clean(self, tmp_path):
-        checkpoint = self._checkpoint(tmp_path)
-        checkpoint.flush()
-        assert not os.path.exists(checkpoint.path)
-
-    def test_fingerprint_mismatch_refuses_to_load(self, tmp_path):
-        checkpoint = self._checkpoint(tmp_path, fingerprint="fp-a")
-        checkpoint.record(0, _result(1))
-        checkpoint.flush()
-        with pytest.raises(CheckpointMismatch, match="fingerprint"):
-            self._checkpoint(tmp_path, fingerprint="fp-b").load()
-
-    def test_total_mismatch_refuses_to_load(self, tmp_path):
-        checkpoint = self._checkpoint(tmp_path, total=3)
-        checkpoint.record(0, _result(1))
-        checkpoint.flush()
-        with pytest.raises(CheckpointMismatch, match="tasks"):
-            self._checkpoint(tmp_path, total=4).load()
-
-    def test_version_mismatch_refuses_to_load(self, tmp_path):
-        checkpoint = self._checkpoint(tmp_path)
-        atomic_write_json(
-            checkpoint.path,
-            {
-                "version": CAMPAIGN_CHECKPOINT_VERSION + 1,
-                "fingerprint": "fp",
-                "total": 3,
-                "results": {},
-            },
+def _tasks(count: int):
+    """Cacheable tasks (seeds 0 .. count-1) for a stubbed chunk body."""
+    return [
+        (
+            SimulationConfig(
+                scenario="S1",
+                initial_distance=50.0,
+                seed=seed,
+                attack_type=AttackType.ACCELERATION,
+            ),
+            ContextAwareStrategy(),
         )
-        with pytest.raises(CheckpointMismatch, match="version"):
-            checkpoint.load()
-
-    def test_invalid_json_refuses_to_load(self, tmp_path):
-        checkpoint = self._checkpoint(tmp_path)
-        with open(checkpoint.path, "w") as handle:
-            handle.write("not json")
-        with pytest.raises(CheckpointMismatch, match="JSON"):
-            checkpoint.load()
-
-    def test_out_of_range_index_refuses_to_load(self, tmp_path):
-        checkpoint = self._checkpoint(tmp_path, total=2)
-        atomic_write_json(
-            checkpoint.path,
-            {
-                "version": CAMPAIGN_CHECKPOINT_VERSION,
-                "fingerprint": "fp",
-                "total": 2,
-                "results": {"5": _result(1).to_dict()},
-            },
-        )
-        with pytest.raises(CheckpointMismatch, match="out of range"):
-            checkpoint.load()
-
-    def test_remove_is_idempotent(self, tmp_path):
-        checkpoint = self._checkpoint(tmp_path)
-        checkpoint.record(0, _result(1))
-        checkpoint.flush()
-        checkpoint.remove()
-        assert not os.path.exists(checkpoint.path)
-        checkpoint.remove()  # second remove must not raise
+        for seed in range(count)
+    ]
 
 
-def test_fingerprint_strings_is_order_sensitive():
-    assert fingerprint_strings(["a", "b"]) != fingerprint_strings(["b", "a"])
-    assert fingerprint_strings(["a", "b"]) == fingerprint_strings(["a", "b"])
-    # Concatenation ambiguity must not collide ("ab"+"c" vs "a"+"bc").
-    assert fingerprint_strings(["ab", "c"]) != fingerprint_strings(["a", "bc"])
-
-
-def test_checkpoint_slug():
-    assert checkpoint_slug("Context-Aware (fixed values)") == "Context-Aware_fixed_values"
-    assert checkpoint_slug("Random ST+DUR") == "Random_ST_DUR"
-    assert checkpoint_slug("***") == "unnamed"
+def _cache(tmp_path) -> RunCache:
+    return RunCache(str(tmp_path / "cache"), code_epoch="task-loop-test")

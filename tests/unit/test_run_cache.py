@@ -19,7 +19,7 @@ from repro.core.attack_types import AttackType
 from repro.core.strategies import ContextAwareStrategy, RandomStartStrategy
 from repro.injection.engine import SimulationConfig, run_simulation
 from repro.resilience.checkpoint import atomic_write_bytes, fsync_directory
-from repro.service.cache import RunCache, partition_tasks, run_tasks_cached
+from repro.service.cache import RunCache, partition_tasks
 from repro.telemetry import Telemetry, TelemetryConfig
 
 EPOCH = "cache-test-epoch"
@@ -204,21 +204,25 @@ class TestConcurrency:
 
 
 class TestTaskHelpers:
-    def test_partition_and_cached_runner_round_trip(self, tmp_path):
+    def test_partition_and_cached_dispatch_round_trip(self, tmp_path, monkeypatch):
+        from repro.injection.executor import run_simulations
+        from repro.resilience import supervisor
+
         cache = RunCache(str(tmp_path), code_epoch=EPOCH)
         tasks = [_task(seed=seed) for seed in (1, 2, 3)]
         direct = [_result(config, strategy) for config, strategy in tasks]
 
         calls = []
 
-        def runner(pending):
-            calls.append(len(pending))
-            return [_result(config, strategy) for config, strategy in pending]
+        def run_chunk(entries, *args):
+            calls.append(len(entries))
+            return [(index, _result(*task)) for index, task in entries], None
 
-        cold = run_tasks_cached(tasks, cache, runner)
+        monkeypatch.setattr(supervisor, "_run_chunk", run_chunk)
+        cold = run_simulations(tasks, cache=cache, chunk_size=3)
         assert [r.to_dict() for r in cold] == [r.to_dict() for r in direct]
         assert calls == [3]
-        warm = run_tasks_cached(tasks, cache, runner)
+        warm = run_simulations(tasks, cache=cache, chunk_size=3)
         assert [r.to_dict() for r in warm] == [r.to_dict() for r in direct]
         assert calls == [3]  # nothing new simulated
         cached, pending, keys = partition_tasks(tasks, cache)

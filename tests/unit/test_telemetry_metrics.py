@@ -8,6 +8,7 @@ are pinned with hypothesis alongside the plain behavioural cases.
 
 import json
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,30 @@ class TestHistogram:
         assert a1.count == a2.count
         assert a1.min == a2.min and a1.max == a2.max
         assert a1.sum == pytest.approx(a2.sum)
+
+    def test_float_sums_merge_to_the_same_bits_in_any_grouping(self):
+        """Chunk snapshots merged in any grouping hold the sum one
+        histogram of every sample holds (a float sum drifts by ULPs)."""
+        values = [7.999999999999874] * 8  # eight run durations of 800 steps
+
+        def merged(sizes):
+            registry = MetricsRegistry()
+            start = 0
+            for size in sizes:
+                chunk = MetricsRegistry()
+                for value in values[start:start + size]:
+                    chunk.histogram("run.duration_s").record(value)
+                registry.merge(chunk.snapshot())
+                start += size
+            return registry.snapshot()
+
+        whole = merged([8])
+        assert merged([2, 2, 2, 2]) == whole
+        assert merged([4, 4]) == whole
+        assert merged([1] * 8) == whole
+        assert whole["histograms"]["run.duration_s"]["sum"] == float(
+            sum(Fraction(value) for value in values)
+        )
 
 
 class TestMetricsRegistry:
