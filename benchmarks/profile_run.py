@@ -24,7 +24,8 @@ batch kernel's columns land on the profile (the dense SoA columns from
 ``DENSE_MIN_ACTIVE`` rows up, the fused codec tier below); combined with
 ``--json`` the per-stage shares come from the batch runner's own
 ``perf.stage.*`` histograms (one timing sample per stage column per
-sampled cycle) — the before/after view for stage vectorisation work::
+cycle, on every tier) — the before/after view for stage vectorisation
+work::
 
     PYTHONPATH=src python benchmarks/profile_run.py --batch 64 --json
 
@@ -84,12 +85,12 @@ def probe_once(label: str, config: SimulationConfig, strategy_name=None) -> Dict
 
     Reuses the telemetry layer's per-stage histograms instead of a
     separate ad-hoc timer, so this benchmark reports exactly what
-    :class:`repro.telemetry.PipelineProbe` measures.  The probe times
+    :class:`repro.telemetry.ProbedPipeline` measures.  The probe times
     one stage per cycle round-robin, so ``samples`` is ~steps / stage
     count per stage and ``share`` compares equally-sampled estimates.
     """
     strategy = strategy_by_name(strategy_name) if strategy_name else None
-    telemetry = Telemetry(TelemetryConfig(sample_every=1))
+    telemetry = Telemetry(TelemetryConfig())
     start = time.perf_counter()
     result = run_simulation(config, strategy, telemetry=telemetry)
     wall_s = time.perf_counter() - start
@@ -156,13 +157,13 @@ def probe_batch(args) -> Dict[str, Any]:
     """One probed lockstep-batched workload → per-stage column timings.
 
     The batch runner times each stage *column* (all rows of one stage)
-    per sampled cycle into the same ``perf.stage.*`` histograms the
+    of every cycle into the same ``perf.stage.*`` histograms the
     scalar pipeline probe uses, plus whole-cycle ``perf.batch.cycle_ns``
     rows, so scalar and batched profiles stay directly comparable.
     """
     from repro.kernel import run_batched
 
-    telemetry = Telemetry(TelemetryConfig(sample_every=1))
+    telemetry = Telemetry(TelemetryConfig())
     start = time.perf_counter()
     results = run_batched(_batch_tasks(args), batch_size=args.batch, telemetry=telemetry)
     wall_s = time.perf_counter() - start

@@ -393,10 +393,10 @@ def test_bench_telemetry_overhead(benchmark):
     """Full-rate telemetry cost on a single run (the "<5% when on" bound).
 
     Runs one attack-free 50 s simulation plain and with a
-    :class:`repro.telemetry.Telemetry` probing every cycle (sampling=1,
-    the most expensive setting) and records both rates plus the overhead
-    percentage — ``benchmarks/check_regression.py`` gates the recorded
-    row at 5%.  Shared CI runners drift by more than the bound within a
+    :class:`repro.telemetry.Telemetry` timing one stage every cycle, and
+    records both rates plus the overhead percentage —
+    ``benchmarks/check_regression.py`` gates the recorded row at 5%.
+    Shared CI runners drift by more than the bound within a
     single test, so the overhead is the *median of paired ratios*
     (probed/plain back to back, nine pairs): each ratio sees the same
     machine state, the pair order alternates so a monotonic slowdown
@@ -415,9 +415,7 @@ def test_bench_telemetry_overhead(benchmark):
         return run_simulation(config)
 
     def probed_run():
-        return run_simulation(
-            config, telemetry=Telemetry(TelemetryConfig(sample_every=1))
-        )
+        return run_simulation(config, telemetry=Telemetry(TelemetryConfig()))
 
     def timed(runner):
         start = time.perf_counter()
@@ -454,7 +452,7 @@ def test_bench_telemetry_overhead(benchmark):
     _results["telemetry_overhead_pct"] = round(overhead_pct, 2)
     _write_results()
     print(
-        f"\ntelemetry overhead: {steps / probed_best:.0f} steps/s probed (sampling=1) vs "
+        f"\ntelemetry overhead: {steps / probed_best:.0f} steps/s probed vs "
         f"{steps / plain_best:.0f} steps/s plain ({overhead_pct:+.1f}%)"
     )
 
@@ -480,9 +478,7 @@ def test_bench_flight_recorder_overhead(benchmark):
 
     config = SimulationConfig(scenario="S1", initial_distance=70.0, seed=0)
     recorder = FlightRecorderConfig(
-        output_dir=tempfile.mkdtemp(prefix="bench-flight-"),
-        capacity=300,
-        capture_every=1,
+        output_dir=tempfile.mkdtemp(prefix="bench-flight-"), capacity=300
     )
 
     def plain_run():

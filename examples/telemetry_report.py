@@ -37,7 +37,7 @@ def main() -> None:
         repetitions=2,
         max_steps=2000,
     )
-    telemetry = Telemetry(TelemetryConfig(sample_every=1, trace=True))
+    telemetry = Telemetry(TelemetryConfig(trace=True))
 
     print(f"running {config.total_runs} simulations with telemetry attached...")
     results = Campaign(config).run(telemetry=telemetry)

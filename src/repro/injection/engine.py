@@ -36,12 +36,11 @@ from repro.kernel import (
 )
 from repro.messaging.bus import MessageBus
 from repro.obs.recorder import FlightRecorder, FlightRecorderConfig
-from repro.obs.tap import TappedPipeline
 from repro.sim.scenarios import Scenario, build_scenario
 from repro.sim.sensors import SensorNoise
 from repro.sim.units import DT, STEPS_PER_SIMULATION
 from repro.sim.world import World, WorldConfig
-from repro.telemetry import Telemetry
+from repro.telemetry import ProbedPipeline, Telemetry
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ class Simulation:
         self.config = config
         self.strategy = strategy or NoAttackStrategy()
         self.telemetry = telemetry
-        self._probe = None
+        self._probe: Optional[ProbedPipeline] = None
 
         scenario = config.build_scenario()
         self.message_bus = MessageBus()
@@ -159,8 +158,8 @@ class Simulation:
         )
         self.hazard_monitor = HazardMonitor(config.hazard_params)
 
-        # The per-run flight recorder (black box): filled by a pipeline
-        # tap, flushed in finalize() when the run turns interesting.
+        # The per-run flight recorder (black box): filled by the record
+        # stage, flushed in finalize() when the run turns interesting.
         self.flight: Optional[FlightRecorder] = None
         if recorder is not None:
             self.flight = recorder.recorder_for(self)
@@ -170,7 +169,8 @@ class Simulation:
 
         The context carries the per-cycle state (decoded car state, plans,
         commands, kinematics) through the ordered stages; everything is
-        allocated here, once per run.
+        allocated here, once per run.  The record stage ends with the
+        flight recorder's capture when the run has a recorder.
         """
         world = self.world
         scenario = world.config.scenario
@@ -203,6 +203,7 @@ class Simulation:
                     world, result, self.attack_engine, self._alert_sub,
                     self.config.stop_after_collision,
                     track_safety_margin=self.config.track_safety_margin,
+                    capture=self.flight.capture if self.flight is not None else None,
                 ),
             )
         )
@@ -229,14 +230,9 @@ class Simulation:
         )
         ctx, pipeline = self.build_pipeline(result)
         if self.telemetry is not None:
-            probe = self.telemetry.probe()
-            if probe is not None:
-                pipeline = probe.wrap(pipeline)
-                self._probe = probe
-        # Tap outermost so the capture observes the completed cycle and
-        # a stacked probe keeps timing the bare stages, not the tap.
-        if self.flight is not None:
-            pipeline = TappedPipeline(pipeline, self.flight.capture)
+            self._probe = self.telemetry.probe(pipeline)
+            if self._probe is not None:
+                pipeline = self._probe
         return result, ctx, pipeline
 
     def finalize(

@@ -14,13 +14,14 @@ of per-step dataclass construction.  Batched lockstep execution of many
 runs — one inner loop per stage over the whole batch, with the hot CAN
 codec work vectorised across runs — lives in :mod:`repro.kernel.batch`
 (:class:`BatchRunner`, which builds its stage columns across the
-per-run pipelines).  For custom pipelines, every stage also accepts a
-context *slice* via ``PipelineStage.run_batch`` (default: loop ``run``)
-and ``StepPipeline.run_cycle_batch`` walks the stage columns of one
-pipeline — the hook for vectorising an individual stage.
+per-run pipelines' shared stage objects).  A cycle is observed inside
+its stages, so both paths see it the same way: the record stage ends
+with the flight recorder's capture, and stage timing wraps only the
+scalar walk (:class:`repro.telemetry.ProbedPipeline`) or the batch
+runner's column walk.
 """
 
-from repro.kernel.batch import BatchKinematics, BatchRunner, run_batched
+from repro.kernel.batch import BatchRunner, run_batched
 from repro.kernel.context import StepContext
 from repro.kernel.pipeline import PipelineStage, StepPipeline
 from repro.kernel.stages import (
@@ -36,7 +37,6 @@ from repro.kernel.stages import (
 
 __all__ = [
     "ActuateStage",
-    "BatchKinematics",
     "BatchRunner",
     "DetectStage",
     "DriveStage",

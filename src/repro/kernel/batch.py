@@ -51,14 +51,22 @@ batches stay dense and the codec always works on a contiguous prefix.
 Tiers
 -----
 
-Vectorising pays a fixed numpy dispatch cost per cycle, so each cycle
-picks one of three tiers by its row count:
+Every cycle walks the same eight stage columns; vectorising pays a fixed
+numpy dispatch cost per cycle, so each column picks its tier from the
+cycle's row count:
 
 * **dense** — at least ``DENSE_MIN_ACTIVE`` (~32) dense rows: the SoA
   plan/actuate/detect columns run for the dense prefix;
-* **fused** — at least ``FUSED_MIN_ACTIVE`` (~8) active rows: the stage
-  columns with the batched CAN codec, plan/actuate/detect per row;
-* **scalar** — fewer active rows: every row's own scalar stages.
+* **fused** — at least ``FUSED_MIN_ACTIVE`` (~8) active rows: the four
+  CAN columns (sense, perceive, inject, drive) run the batched codec for
+  their fused rows;
+* **scalar** — below a threshold, a column runs every row's own scalar
+  stage.
+
+Because the column walk is the same on every tier, the runner's one
+timing loop (``perf.stage.<name>.ns`` per column, ``perf.batch.cycle_ns``
+per cycle) covers every cycle, and whatever a stage does — the flight
+recorder's capture ends the record stage — happens on every tier.
 
 ``DENSE_MIN_ACTIVE`` sits inside the band of widths where
 ``python benchmarks/profile_run.py --crossover`` sees the two tiers
@@ -173,7 +181,7 @@ FOLLOWER_RING = 192
 
 #: Stage names of the lockstep columns, matching the scalar pipeline's
 #: stage names so batched per-stage telemetry lands in the same
-#: ``perf.stage.{name}.ns`` histograms the ``PipelineProbe`` uses.
+#: ``perf.stage.{name}.ns`` histograms the ``ProbedPipeline`` uses.
 _STAGE_NAMES = (
     "sense",
     "perceive",
@@ -193,89 +201,6 @@ _H3 = HazardType.OUT_OF_LANE
 #: hazard predicates cleared (the record stage only truth-tests and
 #: iterates it, never mutates).
 _NO_NEW_HAZARDS: List = []
-
-
-class BatchKinematics:
-    """Structure-of-arrays view of the cross-run hot kinematics.
-
-    One row per active run; the gathered rows (time, ego pose/speed, lead
-    gap/speed) are refreshed after every actuate column.
-    ``lead_gap``/``lead_speed`` are NaN for runs without a tracked lead.
-    ``ttc`` (time-to-collision under constant speeds) and ``headway``
-    (gap in seconds of travel) are derived vectorised **on demand** by
-    :meth:`derive` — consumers (vectorised cross-run detectors,
-    telemetry) call it when they need the derived rows, so the lockstep
-    hot loop pays only the scalar gathers.  Derived values are ``inf``
-    when not closing / standing still, NaN without a lead.
-    """
-
-    __slots__ = (
-        "capacity",
-        "n",
-        "time",
-        "ego_s",
-        "ego_d",
-        "ego_speed",
-        "lead_gap",
-        "lead_speed",
-        "ttc",
-        "headway",
-    )
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.n = 0
-        self.time = np.zeros(capacity)
-        self.ego_s = np.zeros(capacity)
-        self.ego_d = np.zeros(capacity)
-        self.ego_speed = np.zeros(capacity)
-        self.lead_gap = np.zeros(capacity)
-        self.lead_speed = np.zeros(capacity)
-        self.ttc = np.zeros(capacity)
-        self.headway = np.zeros(capacity)
-
-    def gather(self, i: int, ctx: StepContext) -> None:
-        """Write one run's post-actuate context kinematics into row ``i``."""
-        self.time[i] = ctx.end_time
-        self.ego_s[i] = ctx.ego_s
-        self.ego_d[i] = ctx.ego_d
-        self.ego_speed[i] = ctx.ego_speed
-        if ctx.lead_gap is None:
-            self.lead_gap[i] = np.nan
-            self.lead_speed[i] = np.nan
-        else:
-            self.lead_gap[i] = ctx.lead_gap
-            self.lead_speed[i] = ctx.lead_speed
-
-    def derive(self, n: Optional[int] = None) -> None:
-        """Vectorised TTC/headway over the first ``n`` gathered rows
-        (default: the rows of the most recent lockstep cycle).
-
-        Leadless rows are masked *before* the divides — their NaN gap
-        never reaches a denominator, so the derivation emits no
-        RuntimeWarnings even with ``np.errstate`` promoted to raise —
-        and they keep the documented NaN no-lead marker.
-        """
-        n = self.n if n is None else n
-        gap = self.lead_gap[:n]
-        ego_speed = self.ego_speed[:n]
-        ttc = self.ttc[:n]
-        headway = self.headway[:n]
-        has_lead = ~np.isnan(gap)
-        ttc.fill(np.inf)
-        headway.fill(np.inf)
-        ttc[~has_lead] = np.nan
-        headway[~has_lead] = np.nan
-        closing = ego_speed - self.lead_speed[:n]
-        np.divide(gap, closing, out=ttc, where=has_lead & (closing > 0.0))
-        np.divide(gap, ego_speed, out=headway, where=has_lead & (ego_speed > 0.0))
-
-    def refresh(self, contexts: Sequence[StepContext]) -> None:
-        """Gather every context then derive TTC/headway (one-call form)."""
-        for i, ctx in enumerate(contexts):
-            self.gather(i, ctx)
-        self.n = len(contexts)
-        self.derive()
 
 
 #: Per-run planner / physics / road / detector constants, loaded once at
@@ -358,9 +283,16 @@ _DETECT_BOOL_COLUMNS = (
     "det_had_haz",
 )
 
-#: Per-cycle float columns: plan gather/outputs, actuator commands,
-#: physics state, executed commands, detect extras and shared scratch.
+#: Per-cycle float columns: the detect kinematics, plan gather/outputs,
+#: actuator commands, physics state, executed commands, detect extras
+#: and shared scratch.
 _CYCLE_F8_COLUMNS = (
+    "time",
+    "ego_s",
+    "ego_d",
+    "ego_speed",
+    "lead_gap",
+    "lead_speed",
     "plan_v_ego",
     "plan_v_cruise",
     "plan_steer_meas",
@@ -440,10 +372,11 @@ _PERSISTENT_COLUMNS = (
 )
 
 
-class BatchState(BatchKinematics):
+class BatchState:
     """Full SoA residency for the dense fast path.
 
-    Extends the cross-run kinematics with plan columns, actuator-command
+    Kinematics the detectors read (``lead_gap``/``lead_speed`` are NaN
+    for rows without a tracked lead), plan columns, actuator-command
     columns, ego physics columns, per-run constants and detector latch
     mirrors — one row per active run, dense rows in the ``[0, n_dense)``
     prefix.  The state policy is *per-run objects stay authoritative*:
@@ -453,6 +386,13 @@ class BatchState(BatchKinematics):
     boundary.
     """
 
+    # detect kinematics
+    time: np.ndarray
+    ego_s: np.ndarray
+    ego_d: np.ndarray
+    ego_speed: np.ndarray
+    lead_gap: np.ndarray
+    lead_speed: np.ndarray
     # longitudinal planner params
     p_cruise_gain: np.ndarray
     p_gap_gain: np.ndarray
@@ -589,7 +529,6 @@ class BatchState(BatchKinematics):
     w7: np.ndarray
 
     def __init__(self, capacity: int):
-        super().__init__(capacity)
         for name in _PARAM_F8_COLUMNS:
             setattr(self, name, np.zeros(capacity))
         for name in _CYCLE_F8_COLUMNS:
@@ -778,34 +717,21 @@ class BatchState(BatchKinematics):
                 ring[[i, j]] = ring[[j, i]]
 
     def gather_row(self, i: int, ctx: StepContext) -> None:
-        """:meth:`gather` plus the detect-column extras."""
-        self.gather(i, ctx)
+        """Write one run's post-actuate context kinematics into row ``i``."""
+        self.time[i] = ctx.end_time
+        self.ego_s[i] = ctx.ego_s
+        self.ego_d[i] = ctx.ego_d
+        self.ego_speed[i] = ctx.ego_speed
+        if ctx.lead_gap is None:
+            self.lead_gap[i] = np.nan
+            self.lead_speed[i] = np.nan
+        else:
+            self.lead_gap[i] = ctx.lead_gap
+            self.lead_speed[i] = ctx.lead_speed
         self.left_edge[i] = ctx.ego_left_edge
         self.right_edge[i] = ctx.ego_right_edge
         self.lead_d[i] = ctx.lead_d
         self.has_lead[i] = ctx.lead is not None
-
-
-def _tapped_record_run(
-    record_run: Callable[[StepContext], None],
-    capture: Callable[[StepContext], None],
-) -> Callable[[StepContext], None]:
-    """Chain a pipeline tap's capture after a slot's record stage.
-
-    The batch executor never calls ``run_cycle`` on the slot pipelines
-    (it walks stage columns instead), so a
-    :class:`~repro.obs.tap.TappedPipeline`'s capture is honoured here by
-    wrapping the extracted record-stage method — the same
-    "after the completed cycle" observation point, in both the dense
-    (:meth:`BatchRunner._record_column`) and scalar
-    (:meth:`BatchRunner._cycle_scalar`) paths.
-    """
-
-    def run(ctx: StepContext) -> None:
-        record_run(ctx)
-        capture(ctx)
-
-    return run
 
 
 class _Slot:
@@ -885,9 +811,6 @@ class _Slot:
         self.actuate_run = pipeline.stage("actuate").run
         self.detect_run = pipeline.stage("detect").run
         self.record_run = pipeline.stage("record").run
-        capture = getattr(pipeline, "tap_capture", None)
-        if capture is not None:
-            self.record_run = _tapped_record_run(self.record_run, capture)
 
 
 class BatchRunner:
@@ -898,11 +821,11 @@ class BatchRunner:
             the row count of the shared SoA arrays).
         telemetry: Optional :class:`~repro.telemetry.Telemetry` handle.
             The batched cost model is per lockstep *cycle*, not per run,
-            so the runner records sampled whole-cycle timings
-            (``perf.batch.cycle_ns``, with the active-row count in
-            ``perf.batch.cycle_rows``) plus per-stage column timings in
-            the scalar probe's ``perf.stage.{name}.ns`` histograms, plus
-            the same run-completion metrics the scalar path records at
+            so the runner times every cycle (``perf.batch.cycle_ns``,
+            with the active-row count in ``perf.batch.cycle_rows``) and
+            every stage column of it, in the scalar probe's
+            ``perf.stage.{name}.ns`` histograms, plus the same
+            run-completion metrics the scalar path records at
             retirement.  The slot simulations themselves run unprobed —
             per-run stage wrapping would defeat the lockstep amortisation
             it is measuring.
@@ -920,8 +843,6 @@ class BatchRunner:
         self.telemetry = telemetry
         self.recorder = recorder
         self.state = BatchState(batch_size)
-        #: Back-compat alias: the kinematics rows live on the same object.
-        self.kinematics: BatchKinematics = self.state
         self._n_dense = 0
         self._detect_stale = False
         self._traffic_stale = False
@@ -1026,15 +947,13 @@ class BatchRunner:
             pass
 
         telemetry = self.telemetry
-        cycle_hist = cycle_rows = sample_every = None
+        cycle_hist = cycle_rows = None
         stage_hists: Optional[Tuple] = None
-        cycle_index = 0
         if telemetry is not None:
             from repro.telemetry.probe import STAGE_METRIC  # local: import cycle
 
             cycle_hist = telemetry.metrics.histogram("perf.batch.cycle_ns")
             cycle_rows = telemetry.metrics.counter("perf.batch.cycle_rows")
-            sample_every = telemetry.config.sample_every
             stage_hists = tuple(
                 telemetry.metrics.histogram(STAGE_METRIC.format(name=name))
                 for name in _STAGE_NAMES
@@ -1043,14 +962,13 @@ class BatchRunner:
         completed = 0
         try:
             while active:
-                if cycle_hist is not None and cycle_index % sample_every == 0:
+                if cycle_hist is None:
+                    self._cycle(active)
+                else:
                     start_ns = perf_counter_ns()
                     self._cycle(active, stage_hists)
                     cycle_hist.record(perf_counter_ns() - start_ns)
                     cycle_rows.inc(len(active))
-                else:
-                    self._cycle(active)
-                cycle_index += 1
                 retired = False
                 for position in range(len(active) - 1, -1, -1):
                     slot = active[position]
@@ -1102,9 +1020,6 @@ class BatchRunner:
                 or slot.openpilot.alert_manager.raised
             ):
                 self._demote(active, position)
-        if len(active) < FUSED_MIN_ACTIVE:
-            self._cycle_scalar(active)
-            return
         if stage_hists is None:
             for column in self._columns:
                 column(active)
@@ -1115,11 +1030,20 @@ class BatchRunner:
             hist.record(perf_counter_ns() - start_ns)
 
     def _sense_column(self, active: List[_Slot]) -> None:
-        """Per-run sensor publications, batched car-state CAN."""
-        powertrain = self._powertrain
-        steering_sensors = self._steering_sensors
+        """Per-run sensor publications, batched car-state CAN.
+
+        The batched codec (here and in the perceive, inject and drive
+        columns) runs only on a cycle with at least ``FUSED_MIN_ACTIVE``
+        active rows; below it every row runs its scalar stage.
+        """
+        if len(active) < FUSED_MIN_ACTIVE:
+            for slot in active:
+                slot.sense_run(slot.ctx)
+            return
         fused = self._fused_slots
         fused.clear()
+        powertrain = self._powertrain
+        steering_sensors = self._steering_sensors
         speed_values = powertrain.values["XMISSION_SPEED"]
         accel_values = powertrain.values["ACCEL_MEASURED"]
         gas_values = powertrain.values["PEDAL_GAS"]
@@ -1158,6 +1082,10 @@ class BatchRunner:
 
     def _perceive_column(self, active: List[_Slot]) -> None:
         """Fused read-back of the frames just encoded."""
+        if len(active) < FUSED_MIN_ACTIVE:
+            for slot in active:
+                slot.perceive_run(slot.ctx)
+            return
         fused = self._fused_slots
         if fused:
             powertrain = self._powertrain
@@ -1276,6 +1204,10 @@ class BatchRunner:
 
     def _inject_column(self, active: List[_Slot]) -> None:
         """Per-run hooks/alerts/publications, batched actuator CAN."""
+        if len(active) < FUSED_MIN_ACTIVE:
+            for slot in active:
+                slot.inject_run(slot.ctx)
+            return
         steering_control = self._steering_control
         acc_control = self._acc_control
         send = self._send_slots
@@ -1343,6 +1275,10 @@ class BatchRunner:
 
     def _drive_column(self, active: List[_Slot]) -> None:
         """Fused read-back of the commands just sent, shared reaction."""
+        if len(active) < FUSED_MIN_ACTIVE:
+            for slot in active:
+                slot.drive_run(slot.ctx)
+            return
         send = self._send_slots
         if send:
             steering_control = self._steering_control
@@ -1394,8 +1330,9 @@ class BatchRunner:
     def _actuate_column(self, active: List[_Slot]) -> None:
         """Vectorised ego physics + traffic columns for the dense prefix.
 
-        The shared kinematics rows are gathered in the same pass;
-        TTC/headway derivation stays on demand via ``state.derive()``.
+        The dense prefix's detect kinematics are written in the same
+        pass, the only rows :meth:`_detect_dense` reads; other rows run
+        their scalar actuate stage.
         """
         state = self.state
         n_dense = self._n_dense
@@ -1463,7 +1400,7 @@ class BatchRunner:
             fl_speed_o = fl_speed[:n_dense].tolist()
             fl_accel_o = state.fl_accel[:n_dense].tolist()
             # Vectorised observation: the ego geometry, lead observation
-            # and shared kinematics rows that `observe_into`/`gather_row`
+            # and detect kinematics rows that `observe_into`/`gather_row`
             # would recompute per run come straight from the columns
             # (same arithmetic, elementwise).  Non-traffic-vec rows are
             # overwritten per-run in the scatter loop below.
@@ -1559,12 +1496,9 @@ class BatchRunner:
             start = n_dense
         else:
             self._flush_traffic(active)
-        gather = state.gather_row
         for j in range(start, len(active)):
             slot = active[j]
             slot.actuate_run(slot.ctx)
-            gather(j, slot.ctx)
-        state.n = len(active)
 
     def _advance_lead_columns(self, active: List[_Slot], n: int) -> None:
         """Vectorised maneuver-profile step for the scenario leads.
@@ -1789,40 +1723,6 @@ class BatchRunner:
             state.det_had_haz[j] = False
 
     def _record_column(self, active: List[_Slot]) -> None:
-        for slot in active:
-            slot.record_run(slot.ctx)
-
-    def _cycle_scalar(self, active: List[_Slot]) -> None:
-        """One lockstep cycle through the per-run scalar stages.
-
-        Used below ``FUSED_MIN_ACTIVE`` active runs (a narrow batch, or
-        one whose pending queue ran dry); still stage-column order, still
-        refreshing the shared kinematics, bit-identical to the fused
-        cycle.
-        """
-        # The scalar actuate stages below read the follower objects'
-        # perception history, which dense cycles keep ring-resident.
-        self._flush_traffic(active)
-        for slot in active:
-            slot.sense_run(slot.ctx)
-        for slot in active:
-            slot.perceive_run(slot.ctx)
-        for slot in active:
-            slot.plan_run(slot.ctx)
-        for slot in active:
-            slot.inject_run(slot.ctx)
-        for slot in active:
-            slot.drive_run(slot.ctx)
-        state = self.state
-        gather = state.gather_row
-        for i, slot in enumerate(active):
-            slot.actuate_run(slot.ctx)
-            gather(i, slot.ctx)
-        state.n = len(active)
-        for slot in active:
-            slot.detect_run(slot.ctx)
-        # The scalar detects advanced latches the dense mirrors did not see.
-        self._detect_stale = True
         for slot in active:
             slot.record_run(slot.ctx)
 

@@ -5,17 +5,15 @@ attribute and a ``run(ctx)`` method, and :meth:`StepPipeline.run_cycle`
 calls each stage's ``run`` in order.  The stage methods are bound once at
 construction so the 100 Hz inner loop is a flat tuple walk.
 
-Extension point
----------------
-
-Future batched / vectorised execution replaces or wraps individual
-stages: :meth:`StepPipeline.replaced` and :meth:`StepPipeline.inserted`
-derive a new pipeline with a stage swapped out or a new one spliced in
-(e.g. a telemetry stage after ``detect``), without touching the
-simulation loop.
+The lockstep batch executor (:mod:`repro.kernel.batch`) never calls
+``run_cycle``: it looks the eight stages up by name and walks them as
+columns across many runs.  So everything that observes a cycle lives
+inside a stage (the flight recorder's capture ends the record stage),
+and the one subclass, :class:`repro.telemetry.probe.ProbedPipeline`,
+only times the scalar walk over the same shared stage objects.
 """
 
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from repro.kernel.context import StepContext
 
@@ -24,11 +22,7 @@ class PipelineStage:
     """Base class for pipeline stages (subclassing is optional).
 
     A stage only needs a ``name`` string and a ``run(ctx)`` method; this
-    base exists for documentation, isinstance-friendly typing, and the
-    default batched entry point: ``run_batch(contexts)`` takes a slice of
-    contexts — one per lockstep run — and by default just loops ``run``
-    over them.  Vectorised stages override it to amortise the per-run
-    work across the whole slice (see :mod:`repro.kernel.batch`).
+    base exists for documentation and isinstance-friendly typing.
     """
 
     __slots__ = ()
@@ -37,12 +31,6 @@ class PipelineStage:
 
     def run(self, ctx: StepContext) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def run_batch(self, contexts: Sequence[StepContext]) -> None:
-        """Run the stage over a slice of lockstep contexts (default: loop)."""
-        run = self.run
-        for ctx in contexts:
-            run(ctx)
 
 
 class StepPipeline:
@@ -66,31 +54,11 @@ class StepPipeline:
         for run in self._runs:
             run(ctx)
 
-    def run_cycle_batch(self, contexts: Sequence[StepContext]) -> None:
-        """Run one lockstep cycle over a slice of contexts, stage by stage.
-
-        Every stage processes the whole slice before the next stage runs —
-        the batched execution order of :mod:`repro.kernel.batch`.  Only
-        valid when the contexts belong to *independent* runs (each stage
-        object still binds its own run's world/ADAS; this method simply
-        walks the stage columns of a homogeneous batch, so it is mainly
-        useful for single-run pipelines and for tests — the batch executor
-        builds its columns across many pipelines instead).
-        """
-        for stage in self.stages:
-            stage.run_batch(contexts)
-
-    # -- introspection / extension ---------------------------------------
+    # -- introspection ----------------------------------------------------
 
     @property
     def stage_names(self) -> Tuple[str, ...]:
         return tuple(stage.name for stage in self.stages)
-
-    def __iter__(self) -> Iterator[PipelineStage]:
-        return iter(self.stages)
-
-    def __len__(self) -> int:
-        return len(self.stages)
 
     def stage(self, name: str) -> PipelineStage:
         """Return the stage called ``name`` (KeyError if absent)."""
@@ -98,20 +66,3 @@ class StepPipeline:
             if stage.name == name:
                 return stage
         raise KeyError(f"no stage named {name!r} (have {list(self.stage_names)})")
-
-    def replaced(self, name: str, stage: PipelineStage) -> "StepPipeline":
-        """A new pipeline with the stage called ``name`` swapped for ``stage``."""
-        self.stage(name)  # raise early when absent
-        return StepPipeline(
-            stage if existing.name == name else existing for existing in self.stages
-        )
-
-    def inserted(self, after: str, stage: PipelineStage) -> "StepPipeline":
-        """A new pipeline with ``stage`` spliced in right after ``after``."""
-        self.stage(after)  # raise early when absent
-        stages: list = []
-        for existing in self.stages:
-            stages.append(existing)
-            if existing.name == after:
-                stages.append(stage)
-        return StepPipeline(stages)

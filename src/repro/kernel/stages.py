@@ -21,26 +21,32 @@ Stage order (one 10 ms cycle)::
 * **detect**   — lane, collision and hazard monitors evaluate the
   precomputed kinematics from the context.
 * **record**   — results accounting: hazards, accidents, alerts, the
-  trajectory, and the early-stop decision after a collision.
+  trajectory, and the early-stop decision after a collision; then the
+  flight recorder's capture, when the run has one, observes the
+  finished cycle.
 
 Behavioural equivalence with the pre-kernel loop is bit-for-bit and is
 pinned by the golden-run suite (``tests/integration/
 test_golden_equivalence.py``); any reordering here must keep it green.
 
 These classes are also the **scalar fallback** of the lockstep batch
-executor: :class:`repro.kernel.batch.BatchRunner` steps dense rows
-through vectorised *column* implementations of the same eight stages
-(SoA numpy columns in :class:`repro.kernel.batch.BatchState`) and runs
-any row that diverges from the fast path — active alert, CAN
-transformer, driver intervention, non-vectorisable actor scripts —
-through these per-run ``run(ctx)`` methods instead.  A cycle below the
-dense tier threshold runs the plan, actuate and detect methods for
-every row, and one below the fused threshold runs all eight.  A stage
-edit here therefore changes *both* paths' reference semantics: keep
-the golden batch-equivalence suite
-(``tests/integration/test_batch_equivalence.py``, batch sizes
-1/8/64/256) green alongside the sequential goldens.
+executor: :class:`repro.kernel.batch.BatchRunner` walks the same eight
+stages as *columns* across its rows, runs dense rows through vectorised
+implementations (SoA numpy columns in
+:class:`repro.kernel.batch.BatchState`), and runs any row that diverges
+from the fast path — active alert, CAN transformer, driver
+intervention, non-vectorisable actor scripts — through these per-run
+``run(ctx)`` methods instead.  A cycle below the dense tier threshold
+runs the plan, actuate and detect methods for every row, and one below
+the fused threshold runs all eight.  The record stage is never
+vectorised, so whatever it does — the flight recorder's capture
+included — happens the same way on both paths.  A stage edit here
+therefore changes *both* paths' reference semantics: keep the golden
+batch-equivalence suite (``tests/integration/test_batch_equivalence.py``,
+batch sizes 1/8/64/256) green alongside the sequential goldens.
 """
+
+from typing import Callable, Optional
 
 from repro.kernel.context import StepContext
 from repro.kernel.pipeline import PipelineStage
@@ -190,7 +196,13 @@ class DetectStage(PipelineStage):
 
 
 class RecordStage(PipelineStage):
-    """Results accounting: hazards, accidents, alerts, trajectory, stop."""
+    """Results accounting: hazards, accidents, alerts, trajectory, stop.
+
+    ``capture``, when given, observes the finished cycle as the stage's
+    last step: the flight recorder's read-only
+    :meth:`~repro.obs.recorder.FlightRecorder.capture`.  It must never
+    write to the context, an RNG stream or any stage state.
+    """
 
     __slots__ = (
         "world",
@@ -199,6 +211,7 @@ class RecordStage(PipelineStage):
         "alert_sub",
         "stop_after_collision",
         "track_safety_margin",
+        "capture",
     )
     name = "record"
 
@@ -210,6 +223,7 @@ class RecordStage(PipelineStage):
         alert_sub,
         stop_after_collision: float,
         track_safety_margin: bool = False,
+        capture: Optional[Callable[[StepContext], None]] = None,
     ):
         self.world = world
         self.result = result
@@ -217,6 +231,7 @@ class RecordStage(PipelineStage):
         self.alert_sub = alert_sub
         self.stop_after_collision = stop_after_collision
         self.track_safety_margin = track_safety_margin
+        self.capture = capture
 
     def run(self, ctx: StepContext) -> None:
         world = self.world
@@ -224,7 +239,7 @@ class RecordStage(PipelineStage):
         if self.track_safety_margin:
             # Running minima along the three hazard axes, so search
             # objectives can rank hazard-free runs by how close they came:
-            # lead TTC (H1; the scalar twin of BatchKinematics.derive()),
+            # lead TTC (H1; gap over closing speed while closing),
             # ego speed (H2), distance to the nearer lane line (H3).
             gap = ctx.lead_gap
             if gap is not None:
@@ -264,3 +279,5 @@ class RecordStage(PipelineStage):
             and ctx.end_time - ctx.collision_time >= self.stop_after_collision
         ):
             ctx.stop = True
+        if self.capture is not None:
+            self.capture(ctx)

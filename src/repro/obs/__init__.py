@@ -3,15 +3,12 @@
 ``repro.telemetry`` answers *how fast / how many*; this package answers
 *what happened in run X, in which job, after which retry*:
 
-* :mod:`repro.obs.tap` — a deterministic-safe :class:`~repro.kernel.
-  StepPipeline` tap (same contract as the telemetry probe: shared stage
-  objects, no RNG / context writes) that observes the context once per
-  completed cycle;
 * :mod:`repro.obs.recorder` — the per-run **flight recorder**: a bounded
   ring buffer of the last N cycles (kinematics, plan/command values,
-  injection activity, detector state) flushed to a compact JSON artifact
-  when a run turns interesting (hazard, collision, alert, failure — or
-  always, or on demand);
+  injection activity, detector state), filled by a read-only capture
+  that ends the kernel's record stage on every execution path, and
+  flushed to a compact JSON artifact when a run turns interesting
+  (hazard, collision, alert, failure — or always, or on demand);
 * :mod:`repro.obs.journal` — the append-only **causal event journal**:
   JSONL with service-wide monotonic sequence numbers and correlation
   fields (``job_id → chunk_id → fingerprint → attempt``) fed by the
@@ -50,7 +47,6 @@ from repro.obs.recorder import (
     FlightRecorder,
     FlightRecorderConfig,
 )
-from repro.obs.tap import TappedPipeline
 
 __all__ = [
     "BoundJournal",
@@ -62,7 +58,6 @@ __all__ = [
     "FlightRecorderConfig",
     "JobReplay",
     "JournalError",
-    "TappedPipeline",
     "hazard_view",
     "iter_flight_records",
     "job_event_stream",

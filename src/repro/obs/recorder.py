@@ -1,11 +1,14 @@
 """The per-run flight recorder: a bounded black box for the last N cycles.
 
-Every run gets its own :class:`FlightRecorder` fed by the pipeline tap
-(:mod:`repro.obs.tap`): once per completed cycle the recorder copies a
-small tuple of kinematics, plan/command values, injection activity and
-detector state out of the :class:`~repro.kernel.StepContext` into a
-bounded ring buffer.  Most runs are boring and the buffer dies with the
-run; when a run turns *interesting* — hazard, collision, alert, or a
+Every run gets its own :class:`FlightRecorder`, whose
+:meth:`~FlightRecorder.capture` is the last step of the run's record
+stage (:class:`~repro.kernel.stages.RecordStage`), on the scalar path
+and in the lockstep batch's record column alike: once per cycle the
+recorder copies a small tuple of kinematics, plan/command values,
+injection activity and detector state out of the
+:class:`~repro.kernel.StepContext` into a bounded ring buffer.  Most
+runs are boring and the buffer dies with the run; when a run turns
+*interesting* — hazard, collision, alert, or a
 failure/quarantine path that aborts the run — the buffer is flushed to a
 compact JSON artifact via the atomic write-rename idiom of
 :mod:`repro.resilience.checkpoint`, so every hazardous run in a campaign
@@ -15,7 +18,7 @@ The capture path is deliberately read-only and allocation-light (one
 tuple per captured cycle, lazy ring trim): the bench suite pins its
 overhead under 3 % via ``flight_recorder_overhead_pct`` in
 ``BENCH_throughput.json``, and the golden suite pins bit-identical
-results with the tap enabled at full rate.
+results with the recorder on, scalar and batched.
 
 The kinematic fields of each sample (``time``/``ego_s``/``ego_d``/
 ``ego_speed``/``ego_steering_deg``) read the very same scattered values
@@ -80,12 +83,8 @@ class FlightRecorderConfig:
     Attributes:
         output_dir: Directory receiving flight-record artifacts (created
             on first flush).
-        capacity: Ring size — the last ``capacity`` captured cycles
-            survive into the artifact (default 300 cycles = 3 s at
-            100 Hz of full-rate capture).
-        capture_every: Capture one cycle in every ``capture_every``
-            (1 = full rate).  Sub-sampling stretches the ring's time
-            window at the same memory cost.
+        capacity: Ring size — the last ``capacity`` cycles survive into
+            the artifact (default 300 cycles = 3 s at 100 Hz).
         flush_on: Which run outcomes flush the ring to disk.  Any of
             ``"hazard"``, ``"collision"``, ``"alert"``, ``"failure"``
             (run aborted by an exception / supervisor kill), or
@@ -94,14 +93,11 @@ class FlightRecorderConfig:
 
     output_dir: str
     capacity: int = 300
-    capture_every: int = 1
     flush_on: Tuple[str, ...] = ("hazard", "collision", "alert", "failure")
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
             raise ValueError("FlightRecorderConfig.capacity must be positive")
-        if self.capture_every <= 0:
-            raise ValueError("FlightRecorderConfig.capture_every must be positive")
 
     def recorder_for(self, sim: object) -> "FlightRecorder":
         """Build the per-run recorder for a built :class:`Simulation`."""
@@ -127,7 +123,6 @@ class FlightRecorder:
         "seed",
         "_samples",
         "_cycle",
-        "_every",
         "_high_water",
         "_flushed_path",
     )
@@ -147,7 +142,6 @@ class FlightRecorder:
         self.seed = seed
         self._samples: List[tuple] = []
         self._cycle = 0
-        self._every = config.capture_every
         # Trim lazily in blocks so the hot path does one `del` per
         # `capacity` captures instead of a deque rotation per capture.
         self._high_water = 2 * config.capacity
@@ -157,11 +151,9 @@ class FlightRecorder:
     # hot path
 
     def capture(self, ctx: StepContext) -> None:
-        """Observe one completed cycle (read-only; tap callback)."""
+        """Observe one completed cycle (read-only; the record stage's last step)."""
         cycle = self._cycle
         self._cycle = cycle + 1
-        if cycle % self._every:
-            return
         adas = ctx.adas_command
         executed = ctx.executed_command
         samples = self._samples
@@ -256,7 +248,9 @@ class FlightRecorder:
                 "seed": self.seed,
                 "trigger": trigger,
                 "capacity": self.config.capacity,
-                "capture_every": self.config.capture_every,
+                # Every cycle is captured; the field keeps the layout
+                # of version-1 records.
+                "capture_every": 1,
                 "cycles": self._cycle,
                 "fields": list(FLIGHT_SAMPLE_FIELDS),
                 "samples": [list(sample) for sample in samples],

@@ -8,9 +8,8 @@ objectives share a two-tier shape:
   arrives *faster* after activation (small Time-To-Hazard leaves the
   driver less budget to react — the paper's key metric);
 * hazard-free runs score in ``[0, 1)`` from the safety margin the run
-  came down to (minimum lead TTC, recorded when the simulation runs with
-  ``track_safety_margin=True`` — the scalar twin of
-  :class:`~repro.kernel.batch.BatchKinematics`' vectorised TTC), so the
+  came down to (minimum lead TTC, recorded by the kernel's record stage
+  when the simulation runs with ``track_safety_margin=True``), so the
   optimizers get a gradient towards the hazard boundary before they have
   found any hazard at all.
 

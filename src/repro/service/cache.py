@@ -25,7 +25,8 @@ telemetry snapshot shows exactly how much simulation work the cache
 absorbed.  When a :class:`repro.obs.journal.EventJournal` is attached,
 the same traffic is journaled as ``cache.*`` events correlated by task
 fingerprint (bypasses journal the *reason* the fingerprint was
-unavailable, at warning level).
+unavailable, at warning level).  One table, :data:`_EVENTS`, says what
+each event kind touches, and one method records it in all three places.
 """
 
 import copy
@@ -55,6 +56,22 @@ RUN_CACHE_VERSION = 1
 
 #: One executable simulation task, as used by the executor layer.
 SimulationTask = Tuple[SimulationConfig, Optional[AttackStrategy]]
+
+
+#: Every cache event, by journal kind: the :class:`CacheStats` field it
+#: bumps, the telemetry counters it increments, and its journal level.
+_EVENTS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
+    "cache.hit": ("hits", ("cache.hits",), "info"),
+    "cache.miss": ("misses", ("cache.misses",), "info"),
+    "cache.bypass": (
+        "bypasses",
+        ("cache.bypasses", "cache.bypass.fingerprint_unavailable"),
+        "warning",
+    ),
+    "cache.corruption": ("corruptions", ("cache.corruptions",), "warning"),
+    "cache.write": ("writes", ("cache.writes",), "info"),
+    "cache.evict": ("evictions", ("cache.evictions",), "info"),
+}
 
 
 @dataclass
@@ -152,10 +169,7 @@ class RunCache:
         try:
             return fingerprint_task(config, strategy, code_epoch=self.code_epoch)
         except FingerprintUnavailable as error:
-            self.stats.bypasses += 1
-            self._count("cache.bypasses")
-            self._count("cache.bypass.fingerprint_unavailable")
-            self._emit("cache.bypass", level="warning", reason=str(error))
+            self._event("cache.bypass", reason=str(error))
             return None
 
     def _blob_path(self, key: str) -> str:
@@ -176,24 +190,18 @@ class RunCache:
             with open(path, "rb") as handle:
                 raw = handle.read()
         except OSError:
-            self.stats.misses += 1
-            self._count("cache.misses")
-            self._emit("cache.miss", fingerprint=key)
+            self._event("cache.miss", fingerprint=key)
             return None
         result = self._decode(key, raw)
         if result is None:
             self._quarantine(path, key)
-            self.stats.misses += 1
-            self._count("cache.misses")
-            self._emit("cache.miss", fingerprint=key)
+            self._event("cache.miss", fingerprint=key)
             return None
         try:
             os.utime(path)
         except OSError:
             pass
-        self.stats.hits += 1
-        self._count("cache.hits")
-        self._emit("cache.hit", fingerprint=key)
+        self._event("cache.hit", fingerprint=key)
         return result
 
     def _decode(self, key: str, raw: bytes) -> Optional[RunResult]:
@@ -216,9 +224,7 @@ class RunCache:
             os.remove(path)
         except OSError:
             pass
-        self.stats.corruptions += 1
-        self._count("cache.corruptions")
-        self._emit("cache.corruption", level="warning", fingerprint=key, path=path)
+        self._event("cache.corruption", fingerprint=key, path=path)
 
     # -- store ---------------------------------------------------------------
 
@@ -236,9 +242,7 @@ class RunCache:
         path = self._blob_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         atomic_write_bytes(path, json.dumps(envelope, sort_keys=True).encode())
-        self.stats.writes += 1
-        self._count("cache.writes")
-        self._emit("cache.write", fingerprint=key)
+        self._event("cache.write", fingerprint=key)
         if self.max_entries is not None:
             self._evict_to_cap()
 
@@ -269,12 +273,7 @@ class RunCache:
                 os.remove(path)
             except OSError:
                 continue
-            self.stats.evictions += 1
-            self._count("cache.evictions")
-            self._emit(
-                "cache.evict",
-                fingerprint=os.path.basename(path)[: -len(".json.z")],
-            )
+            self._event("cache.evict", fingerprint=os.path.basename(path)[: -len(".json.z")])
 
     def __len__(self) -> int:
         return len(self._entries())
@@ -283,11 +282,16 @@ class RunCache:
         for _, path in self._entries():
             yield os.path.basename(path)[: -len(".json.z")]
 
-    def _count(self, name: str) -> None:
+    def _event(self, kind: str, **fields) -> None:
+        """Count one cache event in the stats and the telemetry counters,
+        and journal it (:data:`_EVENTS` holds what each kind touches)."""
+        field, counters, level = _EVENTS[kind]
+        stats = self.stats
+        setattr(stats, field, getattr(stats, field) + 1)
         if self.telemetry is not None:
-            self.telemetry.metrics.counter(name).inc()
-
-    def _emit(self, kind: str, level: str = "info", **fields) -> None:
+            metrics = self.telemetry.metrics
+            for name in counters:
+                metrics.counter(name).inc()
         if self.journal is not None:
             self.journal.emit(kind, level=level, **fields)
 

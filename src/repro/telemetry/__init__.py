@@ -37,7 +37,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.probe import STAGE_METRIC, PipelineProbe, ProbedPipeline
+from repro.telemetry.probe import STAGE_METRIC, ProbedPipeline
 from repro.telemetry.tracing import DEFAULT_CAPACITY, Span, SpanHandle, Tracer
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "Span",
     "SpanHandle",
     "DEFAULT_CAPACITY",
-    "PipelineProbe",
     "ProbedPipeline",
     "STAGE_METRIC",
     "PROMETHEUS_NAMESPACE",

@@ -11,8 +11,9 @@ Aggregation model
 Every dispatch goes through the one task loop
 (:class:`repro.resilience.SupervisedExecutor`), and every chunk of it
 records into a **chunk-local** registry: in-process chunks and pool
-workers alike, each run wrapped with a sampled
-:class:`~repro.telemetry.probe.PipelineProbe`.  A chunk returns its
+workers alike, each scalar run timed by a
+:class:`~repro.telemetry.probe.ProbedPipeline` and each lockstep batch
+by its own column timing.  A chunk returns its
 snapshot with its results; the parent merges the snapshots of the
 attempts it *accepts* **in chunk order**, so a retried chunk counts
 once and the deterministic view (outside ``perf.*`` and the loop's
@@ -39,11 +40,12 @@ from repro.telemetry.export import (
     write_trace_jsonl,
 )
 from repro.telemetry.metrics import SECONDS_BUCKETS, MetricsRegistry
-from repro.telemetry.probe import PipelineProbe
+from repro.telemetry.probe import ProbedPipeline
 from repro.telemetry.tracing import DEFAULT_CAPACITY, SpanHandle, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.metrics import RunResult
+    from repro.kernel.pipeline import StepPipeline
 
 
 class _NullSpan:
@@ -69,26 +71,22 @@ class TelemetryConfig:
     """Knobs of the telemetry layer (picklable; shipped to pool workers).
 
     Attributes:
-        sample_every: Probe sampling interval — every N-th control cycle
-            pays the per-stage timing; 1 = every cycle (full rate, still
-            within the <5 % overhead budget), larger values amortise the
-            cost further on very hot loops.
-        probe_stages: Wrap each run's pipeline with the per-stage probe.
-            Off, only run/campaign-level metrics are recorded.
+        probe_stages: Wrap each scalar run's pipeline with the per-stage
+            probe (one stage timed per cycle, within the <5 % overhead
+            budget).  Off, a scalar run records only run-level metrics;
+            the lockstep batch executor times its stage columns either
+            way.
         trace: Keep a span ring buffer (campaign/chunk/run/generation
             spans; exportable to Perfetto / chrome://tracing).
         trace_capacity: Ring-buffer size in spans (oldest are dropped
             and counted once full).
     """
 
-    sample_every: int = 1
     probe_stages: bool = True
     trace: bool = False
     trace_capacity: int = DEFAULT_CAPACITY
 
     def __post_init__(self):
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         if self.trace_capacity < 1:
             raise ValueError("trace_capacity must be >= 1")
 
@@ -110,11 +108,16 @@ class Telemetry:
 
     # -- recording ---------------------------------------------------------
 
-    def probe(self) -> Optional[PipelineProbe]:
-        """A fresh per-run probe over the shared registry (None when off)."""
+    def probe(self, pipeline: "StepPipeline") -> Optional[ProbedPipeline]:
+        """A stage-timed view of one run's ``pipeline`` over the shared
+        registry (``None`` when ``probe_stages`` is off).
+
+        The view shares the pipeline's stage objects; the run's
+        finalizer calls its ``flush()``.
+        """
         if not self.config.probe_stages:
             return None
-        return PipelineProbe(self.metrics, sample_every=self.config.sample_every)
+        return ProbedPipeline(pipeline.stages, self.metrics)
 
     def span(self, name: str, category: str = "repro", **args) -> Union[SpanHandle, _NullSpan]:
         """A span context manager (no-op when tracing is disabled)."""
@@ -173,11 +176,7 @@ class Telemetry:
         worker clocks are not aligned with the parent's timebase)."""
         config = self.config
         if config.trace:
-            config = TelemetryConfig(
-                sample_every=config.sample_every,
-                probe_stages=config.probe_stages,
-                trace=False,
-            )
+            config = TelemetryConfig(probe_stages=config.probe_stages, trace=False)
         return config
 
     # -- time helper -------------------------------------------------------

@@ -1,118 +1,71 @@
-"""Sampled per-stage instrumentation of the kernel step pipeline.
+"""Per-stage timing of the kernel's scalar control cycle.
 
-:meth:`PipelineProbe.wrap` derives a :class:`ProbedPipeline` from a
-:class:`~repro.kernel.pipeline.StepPipeline`: same stage objects, but a
-``run_cycle`` that times stages with :func:`time.perf_counter_ns` and
-buffers the raw nanoseconds.  :meth:`PipelineProbe.flush` (called once
-per run, from the simulation's finalizer) folds the buffers into
-per-stage histograms (``perf.stage.<name>.ns``).
+:meth:`repro.telemetry.Telemetry.probe` builds a :class:`ProbedPipeline`
+over a run's :class:`~repro.kernel.pipeline.StepPipeline`: the same stage
+objects, but a ``run_cycle`` that times one stage with
+:func:`time.perf_counter_ns` and buffers the raw nanoseconds.
+:meth:`ProbedPipeline.flush` (called once per run, from the simulation's
+finalizer) folds the buffers into per-stage histograms
+(``perf.stage.<name>.ns``).  The lockstep batch executor never calls
+``run_cycle``: it times its eight stage columns itself, on every cycle,
+into the same histograms (:class:`repro.kernel.batch.BatchRunner`).
 
 Overhead control
 ----------------
 
-* **one stage per timed cycle, round-robin** — a timed cycle brackets a
-  single stage with two clock reads and buffers one integer; which stage
-  rotates every timed cycle, so at full rate each stage is sampled every
-  ``stage count``-th cycle.  Timing every boundary of every cycle (nine
-  clock reads plus nine buffer appends) was measured at 6-8 % of a run
-  on this workload — interleaved clock calls cost far more than a tight
-  microbenchmark suggests — while the rotation keeps the probe well
-  inside the <5 % budget without giving up per-stage distributions.
-  Stage shares are estimates from interleaved samples rather than a
-  same-cycle breakdown; at histogram-bucket resolution the difference is
-  invisible.
+* **one stage per cycle, round-robin** — a cycle brackets a single stage
+  with two clock reads and buffers one integer; which stage rotates
+  every cycle, so each stage is sampled every ``stage count``-th cycle.
+  Timing every boundary of every cycle (nine clock reads plus nine
+  buffer appends) was measured at 6-8 % of a run on this workload —
+  interleaved clock calls cost far more than a tight microbenchmark
+  suggests — while the rotation keeps the probe inside the <5 % budget
+  gated by ``benchmarks/check_regression.py``
+  (``telemetry_overhead_pct``) without giving up per-stage
+  distributions.  Stage shares are estimates from interleaved samples
+  rather than a same-cycle breakdown; at histogram-bucket resolution
+  the difference is invisible.
 * **deferred bucketing** — the hot loop only appends raw integers to a
   per-stage list; sorting and bucket classification happen once per run
   in :meth:`Histogram.record_many` (C-level ``sorted`` + one ``bisect``
   per bucket edge instead of one per sample).
-* **sampling** — only every ``sample_every``-th cycle is timed; an
-  off-cycle pays one integer modulo and falls through to the plain stage
-  walk.  At ``sample_every=1`` the full instrumentation stays within the
-  <5 % budget gated by ``benchmarks/check_regression.py``
-  (``telemetry_overhead_pct``); with telemetry disabled the pipeline is
-  not wrapped at all, so the cost is exactly zero.
 * **no behavioural surface** — the probe only reads clocks and writes
   into its own buffers.  It never touches the RNG streams, the
   :class:`~repro.kernel.context.StepContext`, or any stage state — the
   stage objects themselves are shared with the probed pipeline, not
-  wrapped — so results with probes enabled are bit-identical to unprobed
-  runs at any sampling rate (pinned by the golden suite at rates 1 and 7).
+  wrapped — so results with the probe on are bit-identical to unprobed
+  runs (pinned by the golden suite).  With telemetry off, or
+  ``probe_stages=False``, the pipeline is not wrapped at all.
 
-Every timed cycle contributes exactly one sample, so at ``sample_every=1``
-the per-stage counts sum to the cycle count and split evenly across the
-stages.
+Every cycle contributes exactly one sample, so the per-stage counts sum
+to the cycle count and split evenly across the stages.  The flight
+recorder's capture is the record stage's last step, so with a recorder
+on, the ``record`` samples include it.
 """
 
 from time import perf_counter_ns
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.kernel.context import StepContext
 from repro.kernel.pipeline import PipelineStage, StepPipeline
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.tracing import Tracer
 
 #: Metric-name template of the per-stage latency histograms.
 STAGE_METRIC = "perf.stage.{name}.ns"
 
 
-class PipelineProbe:
-    """Shared sampling state for one run's probed pipeline(s)."""
-
-    __slots__ = ("metrics", "tracer", "sample_every", "_cycle", "_pipelines")
-
-    def __init__(
-        self,
-        metrics: MetricsRegistry,
-        sample_every: int = 1,
-        tracer: Optional[Tracer] = None,
-    ):
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        self.metrics = metrics
-        self.tracer = tracer
-        self.sample_every = sample_every
-        self._cycle = 0
-        self._pipelines: List["ProbedPipeline"] = []
-
-    @property
-    def cycles(self) -> int:
-        """Cycles started so far (sampled and unsampled alike)."""
-        return self._cycle
-
-    @property
-    def sampling(self) -> bool:
-        """Whether the *next* cycle will be timed."""
-        return self._cycle % self.sample_every == 0
-
-    def wrap(self, pipeline: StepPipeline) -> "ProbedPipeline":
-        """A probed view of ``pipeline`` sharing its stage objects.
-
-        Stage names, ``pipeline.stage(name)`` and stage-specific methods
-        all keep working — the stages are not wrapped, only the cycle
-        walk is replaced.
-        """
-        probed = ProbedPipeline(pipeline.stages, self)
-        self._pipelines.append(probed)
-        return probed
-
-    def flush(self) -> None:
-        """Fold all buffered stage timings into the histograms (idempotent)."""
-        for pipeline in self._pipelines:
-            pipeline.flush()
-
-
 class ProbedPipeline(StepPipeline):
-    """A pipeline whose timed cycles time one stage each, round-robin."""
+    """A pipeline whose every cycle times one stage, round-robin."""
 
-    __slots__ = ("probe", "_buffers", "_splits", "_rotation")
+    __slots__ = ("metrics", "_buffers", "_splits", "_rotation")
 
-    def __init__(self, stages: Iterable[PipelineStage], probe: PipelineProbe):
+    def __init__(self, stages: Iterable[PipelineStage], metrics: MetricsRegistry):
         super().__init__(stages)
-        self.probe = probe
+        self.metrics = metrics
         self._buffers: Tuple[List[int], ...] = tuple([] for _ in self.stages)
         runs = self._runs
         # Per-target precomputed (stages before, timed stage, stages
-        # after, buffer append) so a timed cycle pays no per-stage branch.
+        # after, buffer append) so a cycle pays no per-stage branch.
         self._splits = tuple(
             (runs[:index], run, runs[index + 1 :], buffer.append)
             for index, (run, buffer) in enumerate(zip(runs, self._buffers))
@@ -120,13 +73,6 @@ class ProbedPipeline(StepPipeline):
         self._rotation = 0
 
     def run_cycle(self, ctx: StepContext) -> None:
-        probe = self.probe
-        cycle = probe._cycle
-        probe._cycle = cycle + 1
-        if cycle % probe.sample_every:
-            for run in self._runs:
-                run(ctx)
-            return
         splits = self._splits
         target = self._rotation
         self._rotation = (target + 1) % len(splits)
@@ -140,34 +86,9 @@ class ProbedPipeline(StepPipeline):
         for run in after:
             run(ctx)
 
-    def run_cycle_batch(self, contexts: Sequence[StepContext]) -> None:
-        """Time one lockstep cycle's stage *columns*.
-
-        A column spreads its cost over the whole batch, so a timed batch
-        cycle brackets every column (the per-cycle clock cost is paid
-        once per batch row set, not once per run).  Records each column's
-        whole nanoseconds plus the row count into ``perf.batch.rows`` so
-        column costs can be normalised per run.
-        """
-        probe = self.probe
-        cycle = probe._cycle
-        probe._cycle = cycle + 1
-        if cycle % probe.sample_every:
-            for stage in self.stages:
-                stage.run_batch(contexts)
-            return
-        metrics = probe.metrics
-        for stage in self.stages:
-            start = perf_counter_ns()
-            stage.run_batch(contexts)
-            metrics.histogram(STAGE_METRIC.format(name=stage.name)).record(
-                perf_counter_ns() - start
-            )
-        metrics.counter("perf.batch.rows").inc(len(contexts))
-
     def flush(self) -> None:
-        """Fold this pipeline's buffered timings into the histograms."""
-        metrics = self.probe.metrics
+        """Fold the buffered timings into the histograms (idempotent)."""
+        metrics = self.metrics
         for stage, buffer in zip(self.stages, self._buffers):
             if buffer:
                 metrics.histogram(STAGE_METRIC.format(name=stage.name)).record_many(

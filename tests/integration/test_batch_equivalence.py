@@ -18,7 +18,7 @@ to sequential results —
 * a sampled-family campaign produces identical results batched,
   sequential, and batched-inside-parallel-workers;
 * the lockstep machinery itself (retirement, refill, progress, strategy
-  isolation, shared kinematics) behaves as documented.
+  isolation) behaves as documented.
 """
 
 import os
@@ -31,8 +31,8 @@ from repro.core.attack_types import AttackType
 from repro.core.strategies import strategy_by_name
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.engine import Simulation, SimulationConfig, run_simulation
-from repro.kernel import BatchKinematics, BatchRunner, batch, run_batched
-from repro.kernel.batch import FUSED_MIN_ACTIVE
+from repro.kernel import BatchRunner, StepContext, batch, run_batched
+from repro.kernel.batch import FUSED_MIN_ACTIVE, BatchState
 from repro.scenarios import ScenarioSampler
 
 _GOLDEN_DIR = os.path.join(
@@ -274,46 +274,64 @@ class TestBatchRunnerMechanics:
         with pytest.raises(ValueError):
             BatchRunner(batch_size=0)
 
-    def test_kinematics_rows_match_context_values(self):
-        runner = BatchRunner(batch_size=4)
-        results = runner.run_tasks(self._tasks(4, max_steps=250))
-        assert len(results) == 4
-        kin = runner.kinematics
-        # After the final cycle the rows hold the last active runs' state;
-        # TTC/headway are derived on demand.
-        assert kin.n >= 1
-        kin.derive()
-        assert np.all(np.isfinite(kin.ego_speed[: kin.n]))
-        # S1 keeps a lead: gap/ttc/headway defined (ttc may be inf).
-        assert np.all(np.isfinite(kin.lead_gap[: kin.n]))
-        assert np.all(kin.headway[: kin.n] > 0.0)
+    def test_gather_row_marks_leadless_rows_nan(self):
+        # The detect kinematics columns follow the context: a run without
+        # a tracked lead reads a NaN gap and speed, a run with one reads
+        # its values.
+        state = BatchState(2)
+        ctx = StepContext()
+        ctx.end_time, ctx.ego_s, ctx.ego_d, ctx.ego_speed = 1.0, 10.0, 0.25, 20.0
+        state.gather_row(0, ctx)
+        ctx.lead, ctx.lead_gap, ctx.lead_speed, ctx.lead_d = object(), 40.0, 15.0, 0.5
+        state.gather_row(1, ctx)
+        assert np.isnan(state.lead_gap[0]) and np.isnan(state.lead_speed[0])
+        assert not state.has_lead[0]
+        assert (state.lead_gap[1], state.lead_speed[1], state.lead_d[1]) == (40.0, 15.0, 0.5)
+        assert state.has_lead[1]
+        for column, value in (("time", 1.0), ("ego_s", 10.0), ("ego_d", 0.25), ("ego_speed", 20.0)):
+            assert list(getattr(state, column)) == [value, value], column
 
-    def test_kinematics_no_lead_rows_are_nan(self):
-        kin = BatchKinematics(2)
+    def test_dense_kinematics_columns_equal_gather_row(self, monkeypatch):
+        # With every tier forced on, the actuate column writes the dense
+        # rows' detect kinematics from its own columns; at every detect
+        # they must equal what gather_row writes from the run contexts.
+        monkeypatch.setattr(batch, "DENSE_MIN_ACTIVE", 1)
+        monkeypatch.setattr(batch, "FUSED_MIN_ACTIVE", 1)
+        columns = (
+            "time", "ego_s", "ego_d", "ego_speed", "lead_gap", "lead_speed",
+            "left_edge", "right_edge", "lead_d", "has_lead",
+        )
+        checked = []
 
-        class Ctx:
-            end_time = 1.0
-            ego_s = 10.0
-            ego_d = 0.0
-            ego_speed = 20.0
-            lead_gap = None
-            lead_speed = None
+        class Checked(BatchRunner):
+            def _detect_column(self, active):
+                n = self._n_dense
+                expected = BatchState(len(active))
+                for row in range(n):
+                    expected.gather_row(row, active[row].ctx)
+                for name in columns:
+                    np.testing.assert_array_equal(
+                        getattr(self.state, name)[:n], getattr(expected, name)[:n], err_msg=name
+                    )
+                checked.append(n)
+                super()._detect_column(active)
 
-        class CtxLead(Ctx):
-            lead_gap = 40.0
-            lead_speed = 15.0
-
-        kin.refresh([Ctx(), CtxLead()])
-        assert np.isnan(kin.ttc[0]) and np.isnan(kin.headway[0])
-        assert kin.ttc[1] == 40.0 / 5.0
-        assert kin.headway[1] == 40.0 / 20.0
+        scenarios = ("S1", "open-road-cruise", "cut-out-reveal", "tailgating-follower")
+        tasks = [
+            (SimulationConfig(scenario=name, seed=i, max_steps=150), None)
+            for i, name in enumerate(scenarios)
+        ]
+        expected = [run_simulation(config) for config, _ in tasks]
+        assert Checked(batch_size=4).run_tasks(tasks) == expected
+        assert sum(checked) > 0
 
     def test_transformer_on_bus_falls_back_to_scalar_stages(self, kernel_tiers):
         # A man-in-the-middle transformer makes the codec fast path
         # unsound; the runner must detect it and still produce the exact
-        # sequential result through the scalar stages.  Four rows run the
-        # scalar cycle at the production thresholds; forced, they run the
-        # fused columns, whose per-row fallback must take every row.
+        # sequential result through the scalar stages.  Four rows run
+        # every column's scalar stages at the production thresholds;
+        # forced, they run the fused columns, whose per-row fallback must
+        # take every row.
         config = SimulationConfig(scenario="S1", initial_distance=70.0, seed=5, max_steps=300)
         expected = run_simulation(config)
 
@@ -337,7 +355,8 @@ class TestBatchRunnerMechanics:
         assert all(result == expected for result in results)
 
     def test_drained_batch_below_threshold_stays_identical(self):
-        # Fewer tasks than the fused threshold: the scalar lockstep path.
+        # Fewer tasks than the fused threshold: every column runs each
+        # row's scalar stage.
         n = FUSED_MIN_ACTIVE - 1
         tasks = self._tasks(n, max_steps=300)
         expected = [run_simulation(c) for c, _ in tasks]

@@ -3,8 +3,9 @@
 Three guarantees are pinned here:
 
 1. **Observe, never perturb** — every golden run is bit-identical with a
-   full-rate probe + tracer attached (and a subset again at sampling
-   rate 7), so enabling observability can never change science results.
+   probe + tracer attached, so enabling observability can never change
+   science results; the probe times one stage per cycle on the scalar
+   path, and the batch runner times every stage column of every cycle.
 2. **Mode-independent aggregation** — the deterministic snapshot
    (everything outside ``perf.*``) of one campaign is identical whether
    it ran sequentially, lockstep-batched, on a process pool or under
@@ -23,9 +24,10 @@ import pytest
 from repro.core.attack_types import AttackType
 from repro.core.strategies import strategy_by_name
 from repro.injection.campaign import Campaign, CampaignConfig
-from repro.injection.engine import run_simulation
+from repro.injection.engine import SimulationConfig, run_simulation
+from repro.kernel import run_batched
 from repro.resilience import FaultSpec, SupervisionPolicy, chaos_policy, run_supervised_simulations
-from repro.telemetry import Telemetry, TelemetryConfig, prometheus_text
+from repro.telemetry import STAGE_METRIC, Telemetry, TelemetryConfig, prometheus_text
 
 _GOLDEN_DIR = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "golden"
@@ -56,48 +58,79 @@ class TestGoldenRunsUnperturbed:
     def test_full_rate_probe_and_tracer_keep_goldens_bit_identical(self, key, golden_runs):
         config, strategy_name = _keyed_configs()[key]
         strategy = strategy_by_name(strategy_name) if strategy_name else None
-        telemetry = Telemetry(TelemetryConfig(sample_every=1, trace=True))
+        telemetry = Telemetry(TelemetryConfig(trace=True))
         result = run_simulation(config, strategy, telemetry=telemetry)
         assert result.to_dict() == golden_runs[key], (
             f"telemetry perturbed the simulation for {key}"
         )
-        # The probe actually observed the run it did not perturb.
-        histograms = telemetry.snapshot()["histograms"]
-        assert any(name.startswith("perf.stage.") for name in histograms)
+        # The probe observed the run it did not perturb: every cycle
+        # contributes exactly one sample (one stage, round-robin), so the
+        # counts sum to the cycle count and split near-evenly across the
+        # eight stages.
+        counts = {
+            name: data["count"]
+            for name, data in telemetry.snapshot()["histograms"].items()
+            if name.startswith("perf.stage.")
+        }
+        assert len(counts) == 8
+        assert sum(counts.values()) == telemetry.metrics.counter("runs.steps").value
+        assert max(counts.values()) - min(counts.values()) <= 1
 
     @pytest.mark.parametrize("key", _ALL_KEYS[::4])
-    def test_sampling_rate_7_keeps_goldens_bit_identical(self, key, golden_runs):
+    def test_counters_only_telemetry_keeps_goldens_bit_identical(self, key, golden_runs):
+        # probe_stages=False, the configuration perfbench measures with,
+        # leaves the run unwrapped: no stage samples, and the same
+        # deterministic view as a probed run.
         config, strategy_name = _keyed_configs()[key]
         strategy = strategy_by_name(strategy_name) if strategy_name else None
-        telemetry = Telemetry(TelemetryConfig(sample_every=7))
-        result = run_simulation(config, strategy, telemetry=telemetry)
+        counters_only = Telemetry(TelemetryConfig(probe_stages=False))
+        probed = Telemetry(TelemetryConfig())
+        result = run_simulation(config, strategy, telemetry=counters_only)
         assert result.to_dict() == golden_runs[key]
+        run_simulation(config, strategy, telemetry=probed)
+        histograms = counters_only.snapshot()["histograms"]
+        assert not any(name.startswith("perf.stage.") for name in histograms)
+        assert counters_only.metrics.counter("runs.steps").value > 0
+        assert counters_only.deterministic_snapshot() == probed.deterministic_snapshot()
 
-    def test_sampling_rate_thins_stage_samples_only(self):
-        config, strategy_name = _keyed_configs()[_ALL_KEYS[0]]
-        strategy = strategy_by_name(strategy_name) if strategy_name else None
-        full = Telemetry(TelemetryConfig(sample_every=1))
-        sampled = Telemetry(TelemetryConfig(sample_every=7))
-        run_simulation(config, strategy, telemetry=full)
-        run_simulation(config, strategy, telemetry=sampled)
-        def stage_counts(telemetry):
-            return {
-                name: data["count"]
-                for name, data in telemetry.snapshot()["histograms"].items()
-                if name.startswith("perf.stage.")
-            }
 
-        full_counts = stage_counts(full)
-        sampled_counts = stage_counts(sampled)
-        steps = full.metrics.counter("runs.steps").value
-        # Every timed cycle contributes exactly one sample (one stage,
-        # round-robin), so the counts sum to the timed-cycle count and
-        # split near-evenly across the stages.
-        assert sum(full_counts.values()) == steps
-        assert max(full_counts.values()) - min(full_counts.values()) <= 1
-        assert sum(sampled_counts.values()) == -(-steps // 7)  # ceil: cycles 0, 7, ...
-        # The deterministic view is identical either way.
-        assert full.deterministic_snapshot() == sampled.deterministic_snapshot()
+def _assert_every_column_timed(telemetry, cycles: int, steps: int) -> None:
+    snapshot = telemetry.snapshot()
+    histograms = snapshot["histograms"]
+    assert histograms["perf.batch.cycle_ns"]["count"] == cycles
+    stages = ("sense", "perceive", "plan", "inject", "drive", "actuate", "detect", "record")
+    for stage in stages:
+        assert histograms[STAGE_METRIC.format(name=stage)]["count"] == cycles, stage
+    counters = snapshot["counters"]
+    assert counters["perf.batch.cycle_rows"] == counters["runs.steps"] == steps
+
+
+class TestBatchedStageTiming:
+    def test_narrow_cycles_time_every_stage_column(self, kernel_tiers):
+        # Four rows sit below FUSED_MIN_ACTIVE at the production
+        # thresholds, so every cycle is narrow; each must still time all
+        # eight stage columns, as the forced tiers' cycles do.
+        tasks = [
+            (SimulationConfig(scenario="S1", seed=seed, max_steps=steps), None)
+            for seed, steps in enumerate((200, 150, 100, 50))
+        ]
+        telemetry = Telemetry(TelemetryConfig())
+        run_batched(tasks, batch_size=4, telemetry=telemetry)
+        _assert_every_column_timed(telemetry, cycles=200, steps=500)
+
+    def test_cycles_crossing_the_tier_thresholds_time_every_stage_column(self, kernel_tiers):
+        # Forty rows retiring two cycles apart: at the production
+        # thresholds the batch starts above DENSE_MIN_ACTIVE and drains
+        # through the fused tier to narrow cycles, and every cycle of
+        # every tier times all eight stage columns.
+        lengths = [40 + 2 * index for index in range(40)]
+        tasks = [
+            (SimulationConfig(scenario="S1", seed=seed, max_steps=steps), None)
+            for seed, steps in enumerate(lengths)
+        ]
+        telemetry = Telemetry(TelemetryConfig())
+        run_batched(tasks, batch_size=40, telemetry=telemetry)
+        _assert_every_column_timed(telemetry, cycles=max(lengths), steps=sum(lengths))
 
 
 def _campaign_config():
@@ -270,7 +303,7 @@ class TestSearchTelemetry:
             return driver.run()
 
         plain = run_search(None)
-        observed = run_search(Telemetry(TelemetryConfig(sample_every=3, trace=True)))
+        observed = run_search(Telemetry(TelemetryConfig(trace=True)))
         assert [e.score for e in plain.evaluations] == [
             e.score for e in observed.evaluations
         ]

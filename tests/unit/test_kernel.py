@@ -3,7 +3,7 @@
 import pytest
 
 from repro.injection.engine import Simulation, SimulationConfig
-from repro.kernel import PipelineStage, StepContext, StepPipeline
+from repro.kernel import StepContext, StepPipeline
 from repro.messaging.messages import CarState
 from repro.sim.vehicle import ActuatorCommand
 
@@ -42,22 +42,6 @@ class TestStepPipeline:
         log = []
         with pytest.raises(ValueError):
             StepPipeline([_Recorder("a", log), _Recorder("a", log)])
-
-    def test_inserted_splices_after_named_stage(self):
-        log = []
-        pipeline = self.make(log).inserted("b", _Recorder("x", log))
-        assert pipeline.stage_names == ("a", "b", "x", "c")
-        pipeline.run_cycle(StepContext())
-        assert log == ["a", "b", "x", "c"]
-
-    def test_replaced_swaps_stage(self):
-        log = []
-        pipeline = self.make(log).replaced("b", _Recorder("y", log))
-        assert pipeline.stage_names == ("a", "y", "c")
-
-    def test_inserted_unknown_anchor_raises(self):
-        with pytest.raises(KeyError):
-            self.make([]).inserted("zz", _Recorder("x", []))
 
 
 class TestStepContext:
@@ -113,56 +97,51 @@ class TestSimulationPipelineAssembly:
         assert ctx.end_time == pytest.approx(0.05)
 
 
-class TestContextSliceEntryPoints:
-    """PipelineStage.run_batch / StepPipeline.run_cycle_batch contract."""
+class TestRecordStageCapture:
+    def test_record_stage_ends_with_the_flight_capture(self, tmp_path):
+        from repro.obs.recorder import FlightRecorderConfig
 
-    class _Recording(PipelineStage):
-        """Toy stage: records (stage name, context id) in a shared log."""
-
-        def __init__(self, name, log):
-            self.name = name
-            self.log = log
-
-        def run(self, ctx):
-            self.log.append((self.name, id(ctx)))
-
-    def test_default_run_batch_loops_run_over_the_slice(self):
-        from repro.kernel import PipelineStage
-
-        log = []
-
-        class Stage(PipelineStage):
-            name = "s"
-
-            def run(self, ctx):
-                log.append(id(ctx))
-
-        contexts = [StepContext(), StepContext(), StepContext()]
-        Stage().run_batch(contexts)
-        assert log == [id(ctx) for ctx in contexts]
-
-    def test_run_cycle_batch_walks_stage_columns(self):
-        # Every stage must process the whole slice before the next stage.
-        log = []
-        pipeline = StepPipeline(
-            [self._Recording("a", log), self._Recording("b", log)]
+        sim = Simulation(
+            SimulationConfig(scenario="S1", max_steps=10),
+            recorder=FlightRecorderConfig(output_dir=str(tmp_path)),
         )
-        contexts = [StepContext(), StepContext()]
-        pipeline.run_cycle_batch(contexts)
-        assert log == [
-            ("a", id(contexts[0])),
-            ("a", id(contexts[1])),
-            ("b", id(contexts[0])),
-            ("b", id(contexts[1])),
-        ]
+        _, ctx, pipeline = sim.prepare()
+        # No wrapping pipeline: the capture is the record stage's own.
+        assert type(pipeline) is StepPipeline
+        record = pipeline.stage("record")
+        assert record.capture == sim.flight.capture
+        seen = []
+        record.capture = lambda c: seen.append(c.stop)
+        pipeline.run_cycle(ctx)
+        # The stop decision fires on the next cycle, before the capture.
+        ctx.collision_time = -1.0
+        pipeline.run_cycle(ctx)
+        assert seen == [False, True]
 
-    def test_run_cycle_batch_of_one_equals_run_cycle(self):
-        # On a real simulation pipeline, a slice of one is exactly one cycle.
-        first = Simulation(SimulationConfig(scenario="S1", max_steps=20, seed=3))
-        second = Simulation(SimulationConfig(scenario="S1", max_steps=20, seed=3))
-        result_a, ctx_a, pipe_a = first.prepare()
-        result_b, ctx_b, pipe_b = second.prepare()
-        for _ in range(20):
-            pipe_a.run_cycle(ctx_a)
-            pipe_b.run_cycle_batch([ctx_b])
-        assert first.finalize(result_a, ctx_a) == second.finalize(result_b, ctx_b)
+    def test_record_stage_has_no_capture_without_a_recorder(self):
+        sim = Simulation(SimulationConfig(scenario="S1", max_steps=10))
+        _, _, pipeline = sim.prepare()
+        assert sim.flight is None
+        assert pipeline.stage("record").capture is None
+
+    def test_probed_pipeline_runs_the_same_recording_stage(self, tmp_path):
+        from repro.obs.recorder import FlightRecorderConfig
+        from repro.telemetry import Telemetry, TelemetryConfig
+        from repro.telemetry.probe import ProbedPipeline
+
+        sim = Simulation(
+            SimulationConfig(scenario="S1", max_steps=10),
+            telemetry=Telemetry(TelemetryConfig()),
+            recorder=FlightRecorderConfig(output_dir=str(tmp_path)),
+        )
+        _, ctx, pipeline = sim.prepare()
+        # The probe times the stages it shares; the capture stays the
+        # record stage's own, so both views run one capture per cycle.
+        assert type(pipeline) is ProbedPipeline
+        record = pipeline.stage("record")
+        assert record.capture == sim.flight.capture
+        seen = []
+        record.capture = lambda c: seen.append(c.stop)
+        for _ in range(len(pipeline.stages) + 1):
+            pipeline.run_cycle(ctx)
+        assert seen == [False] * (len(pipeline.stages) + 1)

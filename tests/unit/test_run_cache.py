@@ -90,6 +90,68 @@ class TestHitMiss:
         assert b.get(b.fingerprint(config, strategy)) is None
 
 
+class TestEventAccounting:
+    def test_each_event_lands_once_in_stats_counters_and_journal(self, tmp_path):
+        class Journal:
+            def __init__(self):
+                self.events = []
+
+            def emit(self, kind, level="info", **fields):
+                self.events.append((kind, level))
+
+        class Custom(RandomStartStrategy):
+            pass
+
+        journal = Journal()
+        telemetry = Telemetry(TelemetryConfig())
+        cache = RunCache(
+            str(tmp_path), max_entries=1, telemetry=telemetry, code_epoch=EPOCH, journal=journal
+        )
+        config, strategy = _task()
+        assert cache.fingerprint(config, Custom()) is None  # bypass
+        key = cache.fingerprint(config, strategy)
+        result = _result(config, strategy)
+        assert cache.get(key) is None  # miss
+        cache.put(key, result)  # write
+        assert cache.get(key) is not None  # hit
+        with open(cache._blob_path(key), "wb") as handle:
+            handle.write(b"rot")
+        assert cache.get(key) is None  # corruption, then miss
+        cache.put(key, result)  # write
+        cache.put(cache.fingerprint(*_task(seed=7)), result)  # write, evict
+
+        assert cache.stats.as_dict() == {
+            "hits": 1,
+            "misses": 2,
+            "bypasses": 1,
+            "corruptions": 1,
+            "writes": 3,
+            "evictions": 1,
+            "hit_rate": 0.25,
+        }
+        counters = telemetry.snapshot()["counters"]
+        assert {name: n for name, n in counters.items() if name.startswith("cache.")} == {
+            "cache.hits": 1,
+            "cache.misses": 2,
+            "cache.bypasses": 1,
+            "cache.bypass.fingerprint_unavailable": 1,
+            "cache.corruptions": 1,
+            "cache.writes": 3,
+            "cache.evictions": 1,
+        }
+        assert journal.events == [
+            ("cache.bypass", "warning"),
+            ("cache.miss", "info"),
+            ("cache.write", "info"),
+            ("cache.hit", "info"),
+            ("cache.corruption", "warning"),
+            ("cache.miss", "info"),
+            ("cache.write", "info"),
+            ("cache.write", "info"),
+            ("cache.evict", "info"),
+        ]
+
+
 class TestCorruption:
     def _populated(self, tmp_path):
         cache = RunCache(str(tmp_path), code_epoch=EPOCH)
