@@ -20,23 +20,21 @@ all on the profile).
 
 With ``--batch N`` the workload becomes N attack-free runs through the
 lockstep batch executor instead of the two sequential runs, so the
-batch kernel's columns land on the profile (the dense SoA columns from
-``DENSE_MIN_ACTIVE`` rows up, the fused codec tier below); combined with
-``--json`` the per-stage shares come from the batch runner's own
-``perf.stage.*`` histograms (one timing sample per stage column per
-cycle, on every tier) — the before/after view for stage vectorisation
-work::
+batch kernel's columns land on the profile (the dense tier's CAN codec
+and SoA columns from ``DENSE_MIN_ACTIVE`` rows up, every row's scalar
+stages below); combined with ``--json`` the per-stage shares come from
+the batch runner's own ``perf.stage.*`` histograms (one timing sample
+per stage column per cycle, on both tiers) — the before/after view for
+stage vectorisation work::
 
     PYTHONPATH=src python benchmarks/profile_run.py --batch 64 --json
 
-With ``--crossover`` it measures where each vectorised tier of the
-batch kernel starts to pay, the data behind ``DENSE_MIN_ACTIVE`` and
-``FUSED_MIN_ACTIVE`` in ``repro/kernel/batch.py``: attack-free S1–S4
-rows (1000 steps each) at each width, best of three, once with the
-dense SoA columns forced on against forced off (fused codec on), and
-once with the fused codec forced on against the scalar cycle (dense
-columns off).  It prints µs per row-step per tier and the first width
-from which each vectorised tier wins::
+With ``--crossover`` it measures where the dense tier of the batch
+kernel starts to pay, the data behind ``DENSE_MIN_ACTIVE`` in
+``repro/kernel/batch.py``: attack-free S1–S4 rows (1000 steps each) at
+each width, best of three, with the dense tier forced on against the
+scalar tier.  It prints µs per row-step per tier and the first width
+from which the dense tier wins::
 
     PYTHONPATH=src python benchmarks/profile_run.py --crossover
 """
@@ -55,13 +53,12 @@ from repro.injection.engine import SimulationConfig, run_simulation
 from repro.sim.units import DT
 from repro.telemetry import STAGE_METRIC, Telemetry, TelemetryConfig
 
-#: Lockstep widths of the ``--crossover`` sweeps.
+#: Lockstep widths of the ``--crossover`` sweep.
 DENSE_WIDTHS = (4, 8, 16, 24, 32, 48, 64)
-FUSED_WIDTHS = (2, 3, 4, 6, 8, 10, 12)
 CROSSOVER_STEPS = 1000
 CROSSOVER_REPEATS = 3
 
-#: A tier threshold no batch reaches: the tier is off.
+#: A tier threshold no batch reaches: the dense tier is off.
 _OFF = sys.maxsize
 
 
@@ -202,21 +199,20 @@ def profile_batch(args, top: int = 20) -> None:
     stats.sort_stats("cumulative").print_stats(top)
 
 
-def _time_tiers(width: int, settings) -> List[float]:
+def _time_tiers(width: int, thresholds) -> List[float]:
     """Best-of-``CROSSOVER_REPEATS`` µs per row-step of one batch width
-    under each ``(DENSE_MIN_ACTIVE, FUSED_MIN_ACTIVE)`` setting.
+    under each ``DENSE_MIN_ACTIVE`` value.
 
-    The settings take turns within every repeat, so host drift hits
-    them alike.
+    The values take turns within every repeat, so host drift hits them
+    alike.
     """
     from repro.kernel import batch
 
     scenarios = ("S1", "S2", "S3", "S4")
-    best = [float("inf")] * len(settings)
+    best = [float("inf")] * len(thresholds)
     for _ in range(CROSSOVER_REPEATS):
-        for k, (dense_min, fused_min) in enumerate(settings):
-            batch.DENSE_MIN_ACTIVE = dense_min
-            batch.FUSED_MIN_ACTIVE = fused_min
+        for k, threshold in enumerate(thresholds):
+            batch.DENSE_MIN_ACTIVE = threshold
             tasks = [
                 (
                     SimulationConfig(
@@ -237,14 +233,14 @@ def _time_tiers(width: int, settings) -> List[float]:
     return best
 
 
-def _sweep(title: str, labels, widths: Sequence[int], settings) -> Optional[int]:
-    """Print one tier's on/off table; return the first width from which
-    the vectorised tier (``settings[0]``) wins at every wider width."""
-    print(f"\n{title}")
-    print(f"{'width':>6} {labels[0]:>10} {labels[1]:>10}")
+def _sweep(widths: Sequence[int]) -> Optional[int]:
+    """Print the dense tier's on/off table; return the first width from
+    which it wins at every wider width."""
+    print("\ndense tier (CAN codec and SoA columns) against the scalar tier")
+    print(f"{'width':>6} {'dense':>10} {'scalar':>10}")
     break_even = None
     for width in widths:
-        on, off = _time_tiers(width, settings)
+        on, off = _time_tiers(width, (1, _OFF))
         print(f"{width:>6} {on:>10.1f} {off:>10.1f}", flush=True)
         if on >= off:
             break_even = None
@@ -254,36 +250,20 @@ def _sweep(title: str, labels, widths: Sequence[int], settings) -> Optional[int]
 
 
 def crossover() -> None:
-    """Measure the width at which each vectorised tier starts to win."""
+    """Measure the width at which the dense tier starts to win."""
     from repro.kernel import batch
 
-    saved = (batch.DENSE_MIN_ACTIVE, batch.FUSED_MIN_ACTIVE)
+    saved = batch.DENSE_MIN_ACTIVE
     print(
         f"Tier crossover: attack-free S1-S4 rows, {CROSSOVER_STEPS} steps, "
         f"best of {CROSSOVER_REPEATS}, us per row-step"
     )
     try:
-        dense = _sweep(
-            "dense SoA columns (fused codec on)",
-            ("dense", "dense off"),
-            DENSE_WIDTHS,
-            ((1, 1), (_OFF, 1)),
-        )
-        fused = _sweep(
-            "fused codec (dense columns off)",
-            ("fused", "scalar"),
-            FUSED_WIDTHS,
-            ((_OFF, 1), (_OFF, _OFF)),
-        )
+        width = _sweep(DENSE_WIDTHS)
     finally:
-        batch.DENSE_MIN_ACTIVE, batch.FUSED_MIN_ACTIVE = saved
-    print()
-    for name, width, current in (
-        ("DENSE_MIN_ACTIVE", dense, saved[0]),
-        ("FUSED_MIN_ACTIVE", fused, saved[1]),
-    ):
-        measured = f"wins from {width} rows" if width is not None else "never wins in the sweep"
-        print(f"{name}: the tier {measured} (threshold in use: {current})")
+        batch.DENSE_MIN_ACTIVE = saved
+    measured = f"wins from {width} rows" if width is not None else "never wins in the sweep"
+    print(f"\nDENSE_MIN_ACTIVE: the dense tier {measured} (threshold in use: {saved})")
 
 
 def _configs(args) -> list:
@@ -335,7 +315,7 @@ def main() -> None:
     parser.add_argument(
         "--crossover",
         action="store_true",
-        help="sweep batch widths with each vectorised tier forced on and off "
+        help="sweep batch widths with the dense tier forced on and off "
         "and print where it starts to win",
     )
     args = parser.parse_args()

@@ -163,9 +163,10 @@ def test_bench_batched_campaign(benchmark):
     pending work that retirement keeps the lockstep batch dense) twice
     each way, interleaved, and records the best-of passes plus their
     ratio.  Batched results must equal sequential results exactly (the
-    batch executor's core guarantee).  On the 1-CPU container the batch
-    amortises per-step Python dispatch through the vectorised CAN codec;
-    the recorded speedup is per-core and composes with ``workers=N``.
+    batch executor's core guarantee).  Batch 24 is below
+    ``DENSE_MIN_ACTIVE``, so every cycle runs the scalar tier and the
+    speedup stays near 1; it is per-core and composes with
+    ``workers=N``.
     """
     config = _campaign_config()
     config = CampaignConfig(
@@ -227,7 +228,7 @@ def test_bench_dense_batch_scaling(benchmark):
     batch 64 and 256 every row rides the dense column path end to end
     (equal-length attack-free rows stay dense until they retire
     together); batch 8 is below ``DENSE_MIN_ACTIVE`` and measures the
-    fused codec tier.  The acceptance bar is
+    scalar tier.  The acceptance bar is
     relative to the PR 4 batched-campaign *per-core* step throughput
     (the fused-codec lockstep without SoA residency): batch >= 64 must
     show >= 1.5x.  Bit-for-bit equivalence of the dense path is pinned

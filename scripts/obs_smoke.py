@@ -208,11 +208,14 @@ def main(argv=None) -> int:
         asyncio.run(_service_job(args.child_kill, kill_after_progress=True))
         raise AssertionError("child survived past the kill point")
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    check_kill_and_replay(args.out_dir)
-    check_hazard_forensics(args.out_dir)
-    check_chaos_correlation(args.out_dir)
-    check_cli(args.out_dir)
+    # Absolute once, here: the kill-and-replay child runs in this
+    # script's directory, not the caller's.
+    out_dir = os.path.abspath(args.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    check_kill_and_replay(out_dir)
+    check_hazard_forensics(out_dir)
+    check_chaos_correlation(out_dir)
+    check_cli(out_dir)
     print("obs smoke OK")
     return 0
 

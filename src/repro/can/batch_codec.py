@@ -31,9 +31,10 @@ Everything runs on preallocated scratch arrays with ``out=`` ufunc calls,
 so one encode pass costs a fixed few dozen numpy dispatches regardless of
 batch width (the four encodes of a cycle took 211–249 µs at 4–64 rows on
 a 2-vCPU Intel Xeon VM).  Per-run scalar encodes are cheaper in narrow
-batches, so the lockstep executor uses the codec only from
-``FUSED_MIN_ACTIVE`` (8) active runs up; that constant's comment gives
-the crossover ``python benchmarks/profile_run.py --crossover`` measures.
+batches, so the lockstep executor runs the codec only inside its dense
+tier, over the dense prefix of a cycle with at least
+``DENSE_MIN_ACTIVE`` dense rows; that constant's comment gives the
+crossover ``python benchmarks/profile_run.py --crossover`` measures.
 
 The codec also keeps the per-signal **raw** integer arrays of the most
 recent batch, so the lockstep executor can recover the physical values a

@@ -5,7 +5,8 @@ spending its time in the same eight pipeline stages.  The
 :class:`BatchRunner` steps ``N`` runs in lockstep — one inner loop per
 stage over all active runs (``sense`` over the whole batch, then
 ``perceive`` over the whole batch, …) — so the per-step work that is
-structurally identical across runs can be amortised over the batch:
+structurally identical across runs can be amortised over the batch's
+dense rows:
 
 * the four hot CAN encodes per run-step collapse into one vectorised
   :class:`~repro.can.batch_codec.BatchMessageCodec` pass per message;
@@ -51,46 +52,49 @@ batches stay dense and the codec always works on a contiguous prefix.
 Tiers
 -----
 
-Every cycle walks the same eight stage columns; vectorising pays a fixed
-numpy dispatch cost per cycle, so each column picks its tier from the
-cycle's row count:
+Every cycle walks the same eight stage columns.  Vectorising pays a
+fixed numpy dispatch cost per cycle, so :meth:`BatchRunner._cycle`
+picks the cycle's tier once, from its dense row count, as the one
+prefix length every column vectorises:
 
-* **dense** — at least ``DENSE_MIN_ACTIVE`` (~32) dense rows: the SoA
-  plan/actuate/detect columns run for the dense prefix;
-* **fused** — at least ``FUSED_MIN_ACTIVE`` (~8) active rows: the four
-  CAN columns (sense, perceive, inject, drive) run the batched codec for
-  their fused rows;
-* **scalar** — below a threshold, a column runs every row's own scalar
-  stage.
+* **dense** — at least ``DENSE_MIN_ACTIVE`` (32) dense rows: the dense
+  prefix runs the batched CAN codec (sense, perceive, inject, drive)
+  and the SoA plan/actuate/detect columns, and every later row its own
+  scalar stages;
+* **scalar** — fewer dense rows: every row runs its own scalar stages,
+  in lockstep, at about what sequential runs cost.
 
-Because the column walk is the same on every tier, the runner's one
-timing loop (``perf.stage.<name>.ns`` per column, ``perf.batch.cycle_ns``
-per cycle) covers every cycle, and whatever a stage does — the flight
-recorder's capture ends the record stage — happens on every tier.
+Because the column walk is the same on both tiers, the runner's one
+timing loop (``perf.batch.cycle_ns`` per cycle, plus
+``perf.stage.<name>.ns`` per column when stage probes are on) covers
+every cycle, and whatever a stage does — the flight recorder's capture
+ends the record stage — happens on both tiers.
 
 ``DENSE_MIN_ACTIVE`` sits inside the band of widths where
 ``python benchmarks/profile_run.py --crossover`` sees the two tiers
-trade places; ``FUSED_MIN_ACTIVE`` currently sits below the measured
-fused/scalar band (the constants' comments give the figures).  A
-default 16-wide batch runs the fused tier and only wide batches of
-uniform runs reach the dense one.  The tier can change every cycle as
-rows demote, retire and refill; the hand-offs (``_flush_traffic``,
-``_detect_stale``, ``ph_fresh``) keep every switch bit-exact.
+trade places (the constant's comment gives the figures).  A default
+16-wide batch runs the scalar tier, and only wide batches of uniform
+runs reach the dense one.  The tier can change every cycle as rows
+demote, retire and refill; ``_cycle`` runs the hand-offs where it picks
+the tier — follower rings and detector mirrors re-synced from the run
+objects when a dense cycle follows scalar ones, handed back to them
+when a scalar cycle follows dense ones — so every switch is bit-exact.
 
 Equivalence
 -----------
 
 Batched execution is **bit-for-bit identical** to sequential execution:
 runs share no mutable state (each has its own buses, world, ADAS, RNGs),
-the vectorised codec is byte-identical to the scalar encoder, the fused
-decode reproduces the scalar decode arithmetic exactly, and every
+the vectorised codec is byte-identical to the scalar encoder, its
+read-back reproduces the scalar decode arithmetic exactly, and every
 vectorised column reproduces its scalar stage's floating-point operation
 sequence exactly (transcendental calls where numpy's ufunc differs from
 ``libm`` in the last ulp — ``tan``, ``atan``, ``atan2`` — stay per-row
 ``math`` loops).  The golden-run suite replays all 21 goldens through
-``batch_size`` 1, 8, 64 and 256 at the production thresholds, and
-through 1, 8 and 64 with both thresholds forced to 1 so that every tier
-runs at every width (``tests/integration/test_batch_equivalence.py``).
+``batch_size`` 1, 8, 64 and 256 at the production threshold, and
+through 1, 8 and 64 with ``DENSE_MIN_ACTIVE`` forced to 1 so that the
+dense tier runs at every width
+(``tests/integration/test_batch_equivalence.py``).
 
 Composition with the process pool: batching amortises Python dispatch
 *within* a worker, the pool scales *across* cores — ``workers=N``
@@ -133,42 +137,24 @@ BatchTask = Tuple["SimulationConfig", Optional["AttackStrategy"]]
 
 ProgressCallback = Callable[[int, int], None]
 
-#: Default lockstep width: wide enough that the fused codec passes
-#: amortise their numpy dispatch, small enough that short attacked runs
-#: do not leave the tail of a huge batch running alone.  It is below
-#: ``DENSE_MIN_ACTIVE``, so a default batch runs the fused tier.
+#: Default lockstep width, small enough that short attacked runs do not
+#: leave the tail of a huge batch running alone.  It is below
+#: ``DENSE_MIN_ACTIVE``, so a default batch runs the scalar tier, which
+#: costs about what sequential runs cost.
 DEFAULT_BATCH_SIZE = 16
 
-#: Tier thresholds.  ``python benchmarks/profile_run.py --crossover``
-#: times attack-free S1–S4 rows (1000 steps, best of three, µs per
-#: row-step) at each width with a tier forced on and off; the figures
-#: below are from three sweeps on a 2-vCPU Intel Xeon VM.  Near its
-#: crossover a tier is within noise of the one below it, and every tier
-#: gives identical results, so the thresholds only pick the cheaper.
-#:
-#: Fewer than ``FUSED_MIN_ACTIVE`` active runs take the per-run scalar
-#: stages: the fused codec's encodes cost the same per cycle at any
-#: width, so they pay only once enough rows share them.  Since the scalar
-#: stages pack and read their frames through the compiled layouts of
-#: ``repro.can.honda``, the scalar tier was the cheaper one at every
-#: width up to 10 rows in all three sweeps.  Fused against scalar with
-#: the dense columns off: 124.2 against 73.8 at 4 rows, 71.0 against
-#: 64.7 at 8, 63.2 against 63.0 at 10, 70.1 against 60.6 at 12.  Scalar
-#: was ahead at 8 rows by about 10 % in each sweep, and fused won only at 12
-#: rows in one sweep of three, so the band where the two trade places
-#: starts at 12 rows or beyond the sweep.  The threshold stays at 8:
-#: raising it changes the paper campaign's 16-wide batches, and four
-#: end-to-end pairs could not tell a threshold of 32 (no fused cycles at
-#: all there) from 8.
-FUSED_MIN_ACTIVE = 8
-
-#: Fewer than ``DENSE_MIN_ACTIVE`` *dense* rows run the per-run scalar
-#: plan/actuate/detect stages for the dense prefix too: the SoA column
-#: kernels pay a fixed numpy dispatch cost per cycle.  Dense against
-#: dense off: 104.6 against 68.5 at 16 rows, 65.9 against 64.1 at 32,
-#: 59.8 against 64.7 at 48, 57.0 against 62.9 at 64.  The dense tier won
-#: at every wider width from 32 rows in one sweep and from 48 in the
-#: other two; 32 is the low end of that crossover.
+#: Tier threshold: a cycle with fewer *dense* rows runs every row's own
+#: scalar stages, because the codec passes and the SoA column kernels
+#: pay a fixed numpy dispatch cost per cycle.  ``python
+#: benchmarks/profile_run.py --crossover`` times attack-free S1–S4 rows
+#: (1000 steps, best of three, µs per row-step) at each width with the
+#: dense tier forced on and off.  Medians of three sweeps on a 2-vCPU
+#: Intel Xeon VM, dense against scalar: 71.1 against 55.6 at 16 rows,
+#: 64.4 against 49.0 at 24, 45.9 against 46.1 at 32, 43.5 against 54.7
+#: at 48, 41.5 against 48.9 at 64.  The dense tier won at every wider
+#: width from 24 rows in one sweep, from 32 in one and from 48 in one,
+#: so 32 is the middle of that crossover.  Both tiers give identical
+#: results, so the threshold only picks the cheaper.
 DENSE_MIN_ACTIVE = 32
 
 #: Width of the follower reaction-delay ring (entries per row).  The ring
@@ -269,8 +255,8 @@ _PARAM_F8_COLUMNS = (
 )
 
 #: Persistent detector latch mirrors (True = pending / live), kept exact
-#: by the dispatch loops and resynced from the per-run monitors after any
-#: scalar-fallback detect cycle.
+#: by the dispatch loops and resynced from the per-run monitors when a
+#: dense cycle follows scalar ones.
 _DETECT_BOOL_COLUMNS = (
     "det_inv_left",
     "det_inv_right",
@@ -745,7 +731,6 @@ class _Slot:
         "ctx",
         "result",
         "remaining",
-        "fused",
         "dense_capable",
         "traffic_vec",
         "lead_vehicle",
@@ -774,13 +759,12 @@ class _Slot:
         self.result = result
         self.ctx = ctx
         self.remaining = sim.config.max_steps
-        # The codec fast path requires the bus to store exactly the bytes
-        # the codec produced; a transformer breaks that, so such runs use
-        # their scalar stages (still inside the lockstep loop).
-        self.fused = not sim.world.can_bus.has_transformers
-        # The SoA dense path additionally excludes IDM actors (their
-        # car-following update is inherently per-run).
-        self.dense_capable = self.fused and not sim.world._any_idm
+        # The dense path's codec read-back requires the bus to store
+        # exactly the bytes the codec produced, which a transformer
+        # breaks, and IDM actors' car-following update is inherently
+        # per-run; such runs use their scalar stages (still inside the
+        # lockstep loop).
+        self.dense_capable = not (sim.world.can_bus.has_transformers or sim.world._any_idm)
         # The traffic columns cover the static-lane scenario lead
         # (profile-driven; `_dynamic_lead` rules out scripted actors and
         # lead lane changes) plus the delayed-perception follower, if its
@@ -822,13 +806,13 @@ class BatchRunner:
         telemetry: Optional :class:`~repro.telemetry.Telemetry` handle.
             The batched cost model is per lockstep *cycle*, not per run,
             so the runner times every cycle (``perf.batch.cycle_ns``,
-            with the active-row count in ``perf.batch.cycle_rows``) and
-            every stage column of it, in the scalar probe's
-            ``perf.stage.{name}.ns`` histograms, plus the same
-            run-completion metrics the scalar path records at
-            retirement.  The slot simulations themselves run unprobed —
-            per-run stage wrapping would defeat the lockstep amortisation
-            it is measuring.
+            with the active-row count in ``perf.batch.cycle_rows``) and,
+            when its config's ``probe_stages`` is on, every stage column
+            of it, in the scalar probe's ``perf.stage.{name}.ns``
+            histograms; it also records the same run-completion metrics
+            the scalar path records at retirement.  The slot simulations
+            themselves run unprobed — per-run stage wrapping would defeat
+            the lockstep amortisation it is measuring.
     """
 
     def __init__(
@@ -844,9 +828,8 @@ class BatchRunner:
         self.recorder = recorder
         self.state = BatchState(batch_size)
         self._n_dense = 0
-        self._detect_stale = False
-        self._traffic_stale = False
-        self._fused_slots: List[_Slot] = []
+        self._n_vec = 0
+        self._mirrors_stale = False
         self._send_slots: List[_Slot] = []
         self._columns: Tuple[Callable[[List[_Slot]], None], ...] = (
             self._sense_column,
@@ -885,15 +868,19 @@ class BatchRunner:
         self.state.swap_rows(i, j)
 
     def _demote(self, active: List[_Slot], position: int) -> None:
-        """Move a diverged dense row into the demoted region (permanent)."""
-        self._flush_traffic_row(active[position], position)
+        """Move a diverged dense row into the demoted region (permanent),
+        handing its follower history to the run object the scalar
+        actuate stage advances from now on."""
+        follower = active[position].follower_vehicle
+        if follower is not None and not self._mirrors_stale:
+            self.state.flush_follower_ring(position, follower)
         self._swap(active, position, self._n_dense - 1)
         self._n_dense -= 1
 
     def _remove(self, active: List[_Slot], position: int) -> None:
-        """Retire the slot at ``position``, keeping the partition intact."""
+        """Retire the (finalized) slot at ``position``, keeping the
+        partition intact."""
         if position < self._n_dense:
-            self._flush_traffic_row(active[position], position)
             self._swap(active, position, self._n_dense - 1)
             self._n_dense -= 1
             position = self._n_dense
@@ -914,8 +901,7 @@ class BatchRunner:
         active: List[_Slot] = []
         live_strategies: set = set()
         self._n_dense = 0
-        self._detect_stale = False
-        self._traffic_stale = False
+        self._mirrors_stale = False
 
         def admit() -> bool:
             for index, (config, strategy) in pending:
@@ -950,14 +936,15 @@ class BatchRunner:
         cycle_hist = cycle_rows = None
         stage_hists: Optional[Tuple] = None
         if telemetry is not None:
-            from repro.telemetry.probe import STAGE_METRIC  # local: import cycle
-
             cycle_hist = telemetry.metrics.histogram("perf.batch.cycle_ns")
             cycle_rows = telemetry.metrics.counter("perf.batch.cycle_rows")
-            stage_hists = tuple(
-                telemetry.metrics.histogram(STAGE_METRIC.format(name=name))
-                for name in _STAGE_NAMES
-            )
+            if telemetry.config.probe_stages:
+                from repro.telemetry.probe import STAGE_METRIC  # local: import cycle
+
+                stage_hists = tuple(
+                    telemetry.metrics.histogram(STAGE_METRIC.format(name=name))
+                    for name in _STAGE_NAMES
+                )
 
         completed = 0
         try:
@@ -1010,16 +997,47 @@ class BatchRunner:
         # after a transformer attached, the driver intervened, or an
         # alert was raised (the flip cycle itself is still bit-exact —
         # the dense plan/physics/detect math is unaffected within it, and
-        # the sense/perceive/inject/drive columns already handle mixed
-        # fused/scalar rows).
+        # the inject column sends scalar for a row whose output hook
+        # attached a transformer).
         for position in range(self._n_dense - 1, -1, -1):
             slot = active[position]
             if (
-                not slot.fused
+                slot.world.can_bus.has_transformers
                 or slot.ctx.driver_engaged
                 or slot.openpilot.alert_manager.raised
             ):
                 self._demote(active, position)
+        # The one tier decision: every column vectorises ``active[:n_vec]``
+        # and runs the scalar stages of the rest.  Between here and the
+        # actuate and detect columns nothing touches the follower
+        # histories or the detector latches, so the hand-offs run here.
+        n_dense = self._n_dense
+        state = self.state
+        if n_dense >= DENSE_MIN_ACTIVE:
+            self._n_vec = n_dense
+            if self._mirrors_stale:
+                # Dense after scalar cycles: the run objects are ahead of
+                # the follower rings and the detector latch mirrors.
+                for row in range(n_dense):
+                    slot = active[row]
+                    if slot.follower_vehicle is not None:
+                        state.seed_follower_ring(row, slot.follower_vehicle)
+                    state.sync_detect_row(row, slot)
+                self._mirrors_stale = False
+        else:
+            self._n_vec = 0
+            if not self._mirrors_stale:
+                # Scalar after dense cycles: the scalar stages advance the
+                # run objects from here on, so the follower histories go
+                # back to them and the physics columns stop being fresh
+                # (once is enough: only a dense actuate sets ``ph_fresh``,
+                # and rows admitted meanwhile load with it False).
+                for row in range(n_dense):
+                    follower = active[row].follower_vehicle
+                    if follower is not None:
+                        state.flush_follower_ring(row, follower)
+                state.ph_fresh[:n_dense] = False
+                self._mirrors_stale = True
         if stage_hists is None:
             for column in self._columns:
                 column(active)
@@ -1030,84 +1048,65 @@ class BatchRunner:
             hist.record(perf_counter_ns() - start_ns)
 
     def _sense_column(self, active: List[_Slot]) -> None:
-        """Per-run sensor publications, batched car-state CAN.
-
-        The batched codec (here and in the perceive, inject and drive
-        columns) runs only on a cycle with at least ``FUSED_MIN_ACTIVE``
-        active rows; below it every row runs its scalar stage.
-        """
-        if len(active) < FUSED_MIN_ACTIVE:
-            for slot in active:
-                slot.sense_run(slot.ctx)
-            return
-        fused = self._fused_slots
-        fused.clear()
-        powertrain = self._powertrain
-        steering_sensors = self._steering_sensors
-        speed_values = powertrain.values["XMISSION_SPEED"]
-        accel_values = powertrain.values["ACCEL_MEASURED"]
-        gas_values = powertrain.values["PEDAL_GAS"]
-        brake_values = powertrain.values["BRAKE_PRESSED"]
-        steer_values = steering_sensors.values["STEER_ANGLE"]
-        for slot in active:
-            if slot.fused and slot.world.can_bus.has_transformers:
-                # A transformer was attached mid-run (e.g. a CAN-level
-                # attack deployment): the codec read-back is no longer
-                # sound for this run — latch it onto the scalar stages.
-                slot.fused = False
-            if not slot.fused:
-                slot.sense_run(slot.ctx)
-                continue
-            world = slot.world
-            slot.ctx.time = world.time
-            world.publish_sensors()
-            i = len(fused)
-            speed, accel, pedal_gas, brake_pressed, steer, counter = (
-                world.batched_car_can_inputs()
-            )
-            speed_values[i] = speed
-            accel_values[i] = accel
-            gas_values[i] = pedal_gas
-            brake_values[i] = brake_pressed
-            powertrain.counters[i] = counter
-            steer_values[i] = steer
-            steering_sensors.counters[i] = counter
-            fused.append(slot)
-        if fused:
-            n = len(fused)
-            powertrain_payloads = powertrain.encode(n)
-            sensor_payloads = steering_sensors.encode(n)
-            for i, slot in enumerate(fused):
-                slot.world.send_car_can_frames(powertrain_payloads[i], sensor_payloads[i])
-
-    def _perceive_column(self, active: List[_Slot]) -> None:
-        """Fused read-back of the frames just encoded."""
-        if len(active) < FUSED_MIN_ACTIVE:
-            for slot in active:
-                slot.perceive_run(slot.ctx)
-            return
-        fused = self._fused_slots
-        if fused:
+        """Per-run sensor publications, batched car-state CAN for the
+        dense prefix."""
+        n_vec = self._n_vec
+        if n_vec:
             powertrain = self._powertrain
             steering_sensors = self._steering_sensors
-            v_ego = powertrain.physical("XMISSION_SPEED")
-            a_ego = powertrain.physical("ACCEL_MEASURED")
-            steer = steering_sensors.physical("STEER_ANGLE")
-            for i, slot in enumerate(fused):
+            speed_values = powertrain.values["XMISSION_SPEED"]
+            accel_values = powertrain.values["ACCEL_MEASURED"]
+            gas_values = powertrain.values["PEDAL_GAS"]
+            brake_values = powertrain.values["BRAKE_PRESSED"]
+            steer_values = steering_sensors.values["STEER_ANGLE"]
+            for i in range(n_vec):
+                slot = active[i]
+                world = slot.world
+                slot.ctx.time = world.time
+                world.publish_sensors()
+                speed, accel, pedal_gas, brake_pressed, steer, counter = (
+                    world.batched_car_can_inputs()
+                )
+                speed_values[i] = speed
+                accel_values[i] = accel
+                gas_values[i] = pedal_gas
+                brake_values[i] = brake_pressed
+                powertrain.counters[i] = counter
+                steer_values[i] = steer
+                steering_sensors.counters[i] = counter
+            powertrain_payloads = powertrain.encode(n_vec)
+            sensor_payloads = steering_sensors.encode(n_vec)
+            for i in range(n_vec):
+                active[i].world.send_car_can_frames(powertrain_payloads[i], sensor_payloads[i])
+        for slot in active[n_vec:]:
+            slot.sense_run(slot.ctx)
+
+    def _perceive_column(self, active: List[_Slot]) -> None:
+        """Read-back of the car-state frames the dense prefix just encoded."""
+        n_vec = self._n_vec
+        if n_vec:
+            v_ego = self._powertrain.physical("XMISSION_SPEED")
+            a_ego = self._powertrain.physical("ACCEL_MEASURED")
+            steer = self._steering_sensors.physical("STEER_ANGLE")
+            for i in range(n_vec):
+                slot = active[i]
                 slot.world.apply_fused_car_state(
                     slot.ctx.car_state, float(v_ego[i]), float(a_ego[i]), float(steer[i])
                 )
-        for slot in active:
-            if not slot.fused:
-                slot.perceive_run(slot.ctx)
+        for slot in active[n_vec:]:
+            slot.perceive_run(slot.ctx)
 
     def _plan_column(self, active: List[_Slot]) -> None:
         """Per-run perception prelude, vectorised planner arithmetic."""
-        n_dense = self._n_dense
-        if n_dense < DENSE_MIN_ACTIVE:
-            for slot in active:
-                slot.plan_run(slot.ctx)
-            return
+        n_vec = self._n_vec
+        if n_vec:
+            self._plan_dense(active, n_vec)
+        for slot in active[n_vec:]:
+            slot.plan_run(slot.ctx)
+
+    def _plan_dense(self, active: List[_Slot], n_dense: int) -> None:
+        """Dense plan: gather each row's perception inputs, run the
+        planners and output limits as column kernels, scatter back."""
         state = self.state
         plan_v_ego = state.plan_v_ego
         plan_v_cruise = state.plan_v_cruise
@@ -1198,87 +1197,77 @@ class BatchRunner:
             pre_hook.brake = cmd_brake_o[j]
             pre_hook.steering_angle_deg = cmd_steer_o[j]
 
-        for j in range(n_dense, len(active)):
-            slot = active[j]
-            slot.plan_run(slot.ctx)
-
     def _inject_column(self, active: List[_Slot]) -> None:
-        """Per-run hooks/alerts/publications, batched actuator CAN."""
-        if len(active) < FUSED_MIN_ACTIVE:
-            for slot in active:
-                slot.inject_run(slot.ctx)
-            return
-        steering_control = self._steering_control
-        acc_control = self._acc_control
+        """Per-run hooks/alerts/publications, batched actuator CAN for the
+        dense prefix."""
+        n_vec = self._n_vec
         send = self._send_slots
         send.clear()
-        angle_values = steering_control.values["STEER_ANGLE_CMD"]
-        torque_values = steering_control.values["STEER_TORQUE"]
-        accel_cmd_values = acc_control.values["ACCEL_COMMAND"]
-        brake_cmd_values = acc_control.values["BRAKE_COMMAND"]
-        brake_req_values = acc_control.values["BRAKE_REQUEST"]
-        for slot in active:
-            ctx = slot.ctx
-            slot.sent = False
-            if ctx.driver_engaged:
-                continue
-            if not slot.fused:
-                slot.inject_run(ctx)
-                continue
-            if not slot.openpilot.emit_publish_into(ctx):
-                continue
-            openpilot = slot.openpilot
-            if openpilot.can_bus.has_transformers:
-                # An output hook just attached a transformer (within this
-                # very cycle): send scalar so the transformer applies, and
-                # leave `sent` False so the drive column decodes the
-                # (possibly tampered) frames from the bus.
-                slot.fused = False
+        if n_vec:
+            steering_control = self._steering_control
+            acc_control = self._acc_control
+            angle_values = steering_control.values["STEER_ANGLE_CMD"]
+            torque_values = steering_control.values["STEER_TORQUE"]
+            accel_cmd_values = acc_control.values["ACCEL_COMMAND"]
+            brake_cmd_values = acc_control.values["BRAKE_COMMAND"]
+            brake_req_values = acc_control.values["BRAKE_REQUEST"]
+            # Dense rows are never driver-engaged here: engagement demotes
+            # a row at the cycle top.
+            for j in range(n_vec):
+                slot = active[j]
+                ctx = slot.ctx
+                openpilot = slot.openpilot
+                if not openpilot.emit_publish_into(ctx):
+                    continue
                 command = ctx.adas_command
-                openpilot._send_can(ctx.time, command)
-                openpilot._previous_steering_deg = command.steering_angle_deg
-                continue
-            i = len(send)
-            command = ctx.adas_command
-            angle = command.steering_angle_deg
-            angle_values[i] = angle
-            torque_values[i] = angle
-            accel_cmd_values[i] = command.accel
-            brake_cmd_values[i] = command.brake
-            counter = slot.openpilot.advance_can_counter()
-            steering_control.counters[i] = counter
-            acc_control.counters[i] = counter
-            send.append(slot)
-        if send:
-            n = len(send)
-            # Derived signals as ufuncs over the gathered commands; the
-            # div-then-min-then-max sequence is the scalar
-            # ``clamp(angle / 100.0, -1.0, 1.0)`` bit-for-bit.
-            torque = torque_values[:n]
-            np.divide(torque, 100.0, out=torque)
-            np.minimum(torque, 1.0, out=torque)
-            np.maximum(torque, -1.0, out=torque)
-            np.copyto(
-                brake_req_values[:n],
-                np.where(brake_cmd_values[:n] > 0.0, 1.0, 0.0),
-            )
-            steering_payloads = steering_control.encode(n)
-            acc_payloads = acc_control.encode(n)
-            for i, slot in enumerate(send):
-                slot.openpilot.send_can_payloads(
-                    slot.ctx.time,
-                    steering_payloads[i],
-                    acc_payloads[i],
-                    slot.ctx.adas_command.steering_angle_deg,
+                if openpilot.can_bus.has_transformers:
+                    # An output hook just attached a transformer (within
+                    # this very cycle): send scalar so the transformer
+                    # applies, and leave `sent` False so the drive column
+                    # decodes the (possibly tampered) frames from the bus.
+                    openpilot._send_can(ctx.time, command)
+                    openpilot._previous_steering_deg = command.steering_angle_deg
+                    continue
+                i = len(send)
+                angle = command.steering_angle_deg
+                angle_values[i] = angle
+                torque_values[i] = angle
+                accel_cmd_values[i] = command.accel
+                brake_cmd_values[i] = command.brake
+                counter = openpilot.advance_can_counter()
+                steering_control.counters[i] = counter
+                acc_control.counters[i] = counter
+                send.append(slot)
+            if send:
+                n = len(send)
+                # Derived signals as ufuncs over the gathered commands; the
+                # div-then-min-then-max sequence is the scalar
+                # ``clamp(angle / 100.0, -1.0, 1.0)`` bit-for-bit.
+                torque = torque_values[:n]
+                np.divide(torque, 100.0, out=torque)
+                np.minimum(torque, 1.0, out=torque)
+                np.maximum(torque, -1.0, out=torque)
+                np.copyto(
+                    brake_req_values[:n],
+                    np.where(brake_cmd_values[:n] > 0.0, 1.0, 0.0),
                 )
-                slot.sent = True
+                steering_payloads = steering_control.encode(n)
+                acc_payloads = acc_control.encode(n)
+                for i, slot in enumerate(send):
+                    slot.openpilot.send_can_payloads(
+                        slot.ctx.time,
+                        steering_payloads[i],
+                        acc_payloads[i],
+                        slot.ctx.adas_command.steering_angle_deg,
+                    )
+                    slot.sent = True
+        for slot in active[n_vec:]:
+            slot.inject_run(slot.ctx)
 
     def _drive_column(self, active: List[_Slot]) -> None:
-        """Fused read-back of the commands just sent, shared reaction."""
-        if len(active) < FUSED_MIN_ACTIVE:
-            for slot in active:
-                slot.drive_run(slot.ctx)
-            return
+        """Read-back of the commands the dense prefix just sent, shared
+        reaction.  ``sent`` is True only from the inject to the drive
+        column of one cycle."""
         send = self._send_slots
         if send:
             steering_control = self._steering_control
@@ -1295,210 +1284,172 @@ class BatchRunner:
                 command.steering_angle_deg = float(steer_cmd[i])
         for slot in active:
             if slot.sent:
+                slot.sent = False
                 slot.drive_stage.react(slot.ctx)
             else:
                 slot.drive_run(slot.ctx)
 
-    def _flush_traffic_row(self, slot: _Slot, row: int) -> None:
-        """Ring → object for one dense row leaving the dense region."""
-        if self._traffic_stale:
-            return  # the per-run objects are already authoritative
-        follower = slot.follower_vehicle
-        if follower is not None:
-            self.state.flush_follower_ring(row, follower)
-
-    def _flush_traffic(self, active: List[_Slot]) -> None:
-        """Ring → object for every dense row, before scalar actuates.
-
-        Mirrors ``_detect_stale``: while the batch rides the dense path
-        the follower perception history lives only in the ring; any
-        cycle that runs a dense row's scalar actuate stage must first
-        hand the history back to the follower object, and the next dense
-        cycle re-seeds the rings from the objects.
-        """
-        # The scalar actuates are also about to advance the per-run ego
-        # objects past the physics columns.
-        self.state.ph_fresh[: self._n_dense] = False
-        if self._traffic_stale:
-            return
-        for row in range(self._n_dense):
-            follower = active[row].follower_vehicle
-            if follower is not None:
-                self.state.flush_follower_ring(row, follower)
-        self._traffic_stale = True
-
     def _actuate_column(self, active: List[_Slot]) -> None:
-        """Vectorised ego physics + traffic columns for the dense prefix.
+        """Vectorised ego physics + traffic columns for the dense prefix."""
+        n_vec = self._n_vec
+        if n_vec:
+            self._actuate_dense(active, n_vec)
+        for slot in active[n_vec:]:
+            slot.actuate_run(slot.ctx)
 
-        The dense prefix's detect kinematics are written in the same
-        pass, the only rows :meth:`_detect_dense` reads; other rows run
-        their scalar actuate stage.
-        """
+    def _actuate_dense(self, active: List[_Slot], n_dense: int) -> None:
+        """Dense actuate: the dense prefix's detect kinematics are written
+        in the same pass, the only rows :meth:`_detect_dense` reads."""
         state = self.state
-        n_dense = self._n_dense
-        start = 0
-        if n_dense >= DENSE_MIN_ACTIVE:
-            if self._traffic_stale:
-                for row in range(n_dense):
-                    follower = active[row].follower_vehicle
-                    if follower is not None:
-                        state.seed_follower_ring(row, follower)
-                self._traffic_stale = False
-            ex_accel = state.ex_accel
-            ex_brake = state.ex_brake
-            ex_steer = state.ex_steer
-            ph_time = state.ph_time
-            ph_s = state.ph_s
-            ph_d = state.ph_d
-            ph_heading = state.ph_heading
-            ph_speed = state.ph_speed
-            ph_accel = state.ph_accel
-            ph_steer = state.ph_steer
-            ld_s = state.ld_s
-            ld_speed = state.ld_speed
-            fl_s = state.fl_s
-            fl_speed = state.fl_speed
-            for j in range(n_dense):
-                slot = active[j]
-                command = slot.ctx.executed_command
-                slot.world._last_command = command
-                ex_accel[j] = command.accel
-                ex_brake[j] = command.brake
-                ex_steer[j] = command.steering_angle_deg
-            # Physics gather, but only for rows whose columns are not
-            # fresh (newly admitted, or a scalar actuate touched their
-            # objects since the last dense cycle): fresh rows' columns
-            # are bit-equal to the objects they were scattered into.
-            for j in np.flatnonzero(~state.ph_fresh[:n_dense]):
-                slot = active[j]
-                world = slot.world
-                ego_state = world.ego.state
-                ph_time[j] = world.time
-                ph_s[j] = ego_state.s
-                ph_d[j] = ego_state.d
-                ph_heading[j] = ego_state.heading_error
-                ph_speed[j] = ego_state.speed
-                ph_accel[j] = ego_state.accel
-                ph_steer[j] = ego_state.steering_wheel_deg
+        ex_accel = state.ex_accel
+        ex_brake = state.ex_brake
+        ex_steer = state.ex_steer
+        ph_time = state.ph_time
+        ph_s = state.ph_s
+        ph_d = state.ph_d
+        ph_heading = state.ph_heading
+        ph_speed = state.ph_speed
+        ph_accel = state.ph_accel
+        ph_steer = state.ph_steer
+        ld_s = state.ld_s
+        ld_speed = state.ld_speed
+        fl_s = state.fl_s
+        fl_speed = state.fl_speed
+        for j in range(n_dense):
+            slot = active[j]
+            command = slot.ctx.executed_command
+            slot.world._last_command = command
+            ex_accel[j] = command.accel
+            ex_brake[j] = command.brake
+            ex_steer[j] = command.steering_angle_deg
+        # Physics gather, but only for rows whose columns are not
+        # fresh (newly admitted, or a scalar actuate touched their
+        # objects since the last dense cycle): fresh rows' columns
+        # are bit-equal to the objects they were scattered into.
+        for j in np.flatnonzero(~state.ph_fresh[:n_dense]):
+            slot = active[j]
+            world = slot.world
+            ego_state = world.ego.state
+            ph_time[j] = world.time
+            ph_s[j] = ego_state.s
+            ph_d[j] = ego_state.d
+            ph_heading[j] = ego_state.heading_error
+            ph_speed[j] = ego_state.speed
+            ph_accel[j] = ego_state.accel
+            ph_steer[j] = ego_state.steering_wheel_deg
+            lead = slot.lead_vehicle
+            if lead is not None:
+                lead_state = lead.state
+                ld_s[j] = lead_state.s
+                ld_speed[j] = lead_state.speed
+            follower = slot.follower_vehicle
+            if follower is not None:
+                follower_state = follower.state
+                fl_s[j] = follower_state.s
+                fl_speed[j] = follower_state.speed
+        step_ego_columns(state, n_dense)
+        self._advance_lead_columns(active, n_dense)
+        self._advance_follower_columns(n_dense)
+        ld_s_o = ld_s[:n_dense].tolist()
+        ld_speed_o = ld_speed[:n_dense].tolist()
+        ld_accel_o = state.ld_accel[:n_dense].tolist()
+        fl_s_o = fl_s[:n_dense].tolist()
+        fl_speed_o = fl_speed[:n_dense].tolist()
+        fl_accel_o = state.fl_accel[:n_dense].tolist()
+        # Vectorised observation: the ego geometry, lead observation
+        # and detect kinematics rows that `observe_into`/`gather_row`
+        # would recompute per run come straight from the columns
+        # (same arithmetic, elementwise).  Non-traffic-vec rows are
+        # overwritten per-run in the scatter loop below.
+        nd = n_dense
+        time_next = state.w0[:nd]
+        np.add(ph_time[:nd], DT, out=time_next)
+        front = state.w1[:nd]
+        np.add(ph_s[:nd], state.p_ego_half_len[:nd], out=front)
+        rear = state.w2[:nd]
+        np.subtract(ph_s[:nd], state.p_ego_half_len[:nd], out=rear)
+        ledge = state.w3[:nd]
+        np.add(ph_d[:nd], state.p_ego_half_width[:nd], out=ledge)
+        redge = state.w4[:nd]
+        np.subtract(ph_d[:nd], state.p_ego_half_width[:nd], out=redge)
+        ld_gap = state.w5[:nd]
+        np.subtract(ld_s[:nd], state.p_ld_half_len[:nd], out=ld_gap)
+        np.subtract(ld_gap, front, out=ld_gap)
+        ld_on = state.ld_on[:nd]
+        np.copyto(state.time[:nd], time_next)
+        np.copyto(state.ego_s[:nd], ph_s[:nd])
+        np.copyto(state.ego_d[:nd], ph_d[:nd])
+        np.copyto(state.ego_speed[:nd], ph_speed[:nd])
+        np.copyto(state.lead_gap[:nd], np.where(ld_on, ld_gap, np.nan))
+        np.copyto(state.lead_speed[:nd], np.where(ld_on, ld_speed[:nd], np.nan))
+        np.copyto(state.left_edge[:nd], ledge)
+        np.copyto(state.right_edge[:nd], redge)
+        np.copyto(state.lead_d[:nd], np.where(ld_on, state.p_ld_d[:nd], 0.0))
+        np.copyto(state.has_lead[:nd], ld_on)
+        time_o = time_next.tolist()
+        front_o = front.tolist()
+        rear_o = rear.tolist()
+        ledge_o = ledge.tolist()
+        redge_o = redge.tolist()
+        ld_gap_o = ld_gap.tolist()
+        s_o = ph_s[:n_dense].tolist()
+        d_o = ph_d[:n_dense].tolist()
+        heading_o = ph_heading[:n_dense].tolist()
+        speed_o = ph_speed[:n_dense].tolist()
+        accel_o = ph_accel[:n_dense].tolist()
+        steer_o = ph_steer[:n_dense].tolist()
+        yaw_o = state.ph_yaw[:n_dense].tolist()
+        for j in range(n_dense):
+            slot = active[j]
+            world = slot.world
+            ego_state = world.ego.state
+            ego_state.s = s_o[j]
+            ego_state.d = d_o[j]
+            ego_state.heading_error = heading_o[j]
+            ego_state.speed = speed_o[j]
+            ego_state.accel = accel_o[j]
+            ego_state.steering_wheel_deg = steer_o[j]
+            ego_state.yaw_rate = yaw_o[j]
+            if slot.traffic_vec:
                 lead = slot.lead_vehicle
                 if lead is not None:
                     lead_state = lead.state
-                    ld_s[j] = lead_state.s
-                    ld_speed[j] = lead_state.speed
+                    lead_state.s = ld_s_o[j]
+                    lead_state.speed = ld_speed_o[j]
+                    lead_state.accel = ld_accel_o[j]
                 follower = slot.follower_vehicle
                 if follower is not None:
                     follower_state = follower.state
-                    fl_s[j] = follower_state.s
-                    fl_speed[j] = follower_state.speed
-            step_ego_columns(state, n_dense)
-            self._advance_lead_columns(active, n_dense)
-            self._advance_follower_columns(n_dense)
-            ld_s_o = ld_s[:n_dense].tolist()
-            ld_speed_o = ld_speed[:n_dense].tolist()
-            ld_accel_o = state.ld_accel[:n_dense].tolist()
-            fl_s_o = fl_s[:n_dense].tolist()
-            fl_speed_o = fl_speed[:n_dense].tolist()
-            fl_accel_o = state.fl_accel[:n_dense].tolist()
-            # Vectorised observation: the ego geometry, lead observation
-            # and detect kinematics rows that `observe_into`/`gather_row`
-            # would recompute per run come straight from the columns
-            # (same arithmetic, elementwise).  Non-traffic-vec rows are
-            # overwritten per-run in the scatter loop below.
-            nd = n_dense
-            time_next = state.w0[:nd]
-            np.add(ph_time[:nd], DT, out=time_next)
-            front = state.w1[:nd]
-            np.add(ph_s[:nd], state.p_ego_half_len[:nd], out=front)
-            rear = state.w2[:nd]
-            np.subtract(ph_s[:nd], state.p_ego_half_len[:nd], out=rear)
-            ledge = state.w3[:nd]
-            np.add(ph_d[:nd], state.p_ego_half_width[:nd], out=ledge)
-            redge = state.w4[:nd]
-            np.subtract(ph_d[:nd], state.p_ego_half_width[:nd], out=redge)
-            ld_gap = state.w5[:nd]
-            np.subtract(ld_s[:nd], state.p_ld_half_len[:nd], out=ld_gap)
-            np.subtract(ld_gap, front, out=ld_gap)
-            ld_on = state.ld_on[:nd]
-            np.copyto(state.time[:nd], time_next)
-            np.copyto(state.ego_s[:nd], ph_s[:nd])
-            np.copyto(state.ego_d[:nd], ph_d[:nd])
-            np.copyto(state.ego_speed[:nd], ph_speed[:nd])
-            np.copyto(state.lead_gap[:nd], np.where(ld_on, ld_gap, np.nan))
-            np.copyto(state.lead_speed[:nd], np.where(ld_on, ld_speed[:nd], np.nan))
-            np.copyto(state.left_edge[:nd], ledge)
-            np.copyto(state.right_edge[:nd], redge)
-            np.copyto(state.lead_d[:nd], np.where(ld_on, state.p_ld_d[:nd], 0.0))
-            np.copyto(state.has_lead[:nd], ld_on)
-            time_o = time_next.tolist()
-            front_o = front.tolist()
-            rear_o = rear.tolist()
-            ledge_o = ledge.tolist()
-            redge_o = redge.tolist()
-            ld_gap_o = ld_gap.tolist()
-            s_o = ph_s[:n_dense].tolist()
-            d_o = ph_d[:n_dense].tolist()
-            heading_o = ph_heading[:n_dense].tolist()
-            speed_o = ph_speed[:n_dense].tolist()
-            accel_o = ph_accel[:n_dense].tolist()
-            steer_o = ph_steer[:n_dense].tolist()
-            yaw_o = state.ph_yaw[:n_dense].tolist()
-            for j in range(n_dense):
-                slot = active[j]
-                world = slot.world
-                ego_state = world.ego.state
-                ego_state.s = s_o[j]
-                ego_state.d = d_o[j]
-                ego_state.heading_error = heading_o[j]
-                ego_state.speed = speed_o[j]
-                ego_state.accel = accel_o[j]
-                ego_state.steering_wheel_deg = steer_o[j]
-                ego_state.yaw_rate = yaw_o[j]
-                if slot.traffic_vec:
-                    lead = slot.lead_vehicle
-                    if lead is not None:
-                        lead_state = lead.state
-                        lead_state.s = ld_s_o[j]
-                        lead_state.speed = ld_speed_o[j]
-                        lead_state.accel = ld_accel_o[j]
-                    follower = slot.follower_vehicle
-                    if follower is not None:
-                        follower_state = follower.state
-                        follower_state.s = fl_s_o[j]
-                        follower_state.speed = fl_speed_o[j]
-                        follower_state.accel = fl_accel_o[j]
-                    world.time = time_o[j]
-                    world.step_count += 1
-                    # The column-computed observation: same fields, same
-                    # arithmetic as World.observe_into.  ctx.lead and
-                    # ctx.lead_d never change for a traffic-vec row (the
-                    # lead object is static and keeps its lane), and the
-                    # leadless fields stay None from run preparation.
-                    ctx = slot.ctx
-                    ctx.end_time = time_o[j]
-                    ctx.ego_s = s_o[j]
-                    ctx.ego_d = d_o[j]
-                    ctx.ego_speed = speed_o[j]
-                    ctx.ego_heading_error = heading_o[j]
-                    ctx.ego_steering_deg = steer_o[j]
-                    ctx.ego_front_s = front_o[j]
-                    ctx.ego_rear_s = rear_o[j]
-                    ctx.ego_left_edge = ledge_o[j]
-                    ctx.ego_right_edge = redge_o[j]
-                    if lead is not None:
-                        ctx.lead_gap = ld_gap_o[j]
-                        ctx.lead_speed = ld_speed_o[j]
-                else:
-                    world.advance_traffic()
-                    world.observe_into(slot.ctx)
-                    state.gather_row(j, slot.ctx)
-            np.copyto(ph_time[:n_dense], time_next)
-            state.ph_fresh[:n_dense] = True
-            start = n_dense
-        else:
-            self._flush_traffic(active)
-        for j in range(start, len(active)):
-            slot = active[j]
-            slot.actuate_run(slot.ctx)
+                    follower_state.s = fl_s_o[j]
+                    follower_state.speed = fl_speed_o[j]
+                    follower_state.accel = fl_accel_o[j]
+                world.time = time_o[j]
+                world.step_count += 1
+                # The column-computed observation: same fields, same
+                # arithmetic as World.observe_into.  ctx.lead and
+                # ctx.lead_d never change for a traffic-vec row (the
+                # lead object is static and keeps its lane), and the
+                # leadless fields stay None from run preparation.
+                ctx = slot.ctx
+                ctx.end_time = time_o[j]
+                ctx.ego_s = s_o[j]
+                ctx.ego_d = d_o[j]
+                ctx.ego_speed = speed_o[j]
+                ctx.ego_heading_error = heading_o[j]
+                ctx.ego_steering_deg = steer_o[j]
+                ctx.ego_front_s = front_o[j]
+                ctx.ego_rear_s = rear_o[j]
+                ctx.ego_left_edge = ledge_o[j]
+                ctx.ego_right_edge = redge_o[j]
+                if lead is not None:
+                    ctx.lead_gap = ld_gap_o[j]
+                    ctx.lead_speed = ld_speed_o[j]
+            else:
+                world.advance_traffic()
+                world.observe_into(slot.ctx)
+                state.gather_row(j, slot.ctx)
+        np.copyto(ph_time[:n_dense], time_next)
+        state.ph_fresh[:n_dense] = True
 
     def _advance_lead_columns(self, active: List[_Slot], n: int) -> None:
         """Vectorised maneuver-profile step for the scenario leads.
@@ -1602,23 +1553,10 @@ class BatchRunner:
 
     def _detect_column(self, active: List[_Slot]) -> None:
         """Cross-run vectorised detector predicates, scalar dispatch."""
-        n_dense = self._n_dense
-        if n_dense < DENSE_MIN_ACTIVE:
-            for slot in active:
-                slot.detect_run(slot.ctx)
-            # Scalar detects advanced the per-run latches without
-            # updating the dense mirrors.
-            self._detect_stale = True
-            return
-        state = self.state
-        if self._detect_stale:
-            sync = state.sync_detect_row
-            for row in range(n_dense):
-                sync(row, active[row])
-            self._detect_stale = False
-        self._detect_dense(active, n_dense)
-        for j in range(n_dense, len(active)):
-            slot = active[j]
+        n_vec = self._n_vec
+        if n_vec:
+            self._detect_dense(active, n_vec)
+        for slot in active[n_vec:]:
             slot.detect_run(slot.ctx)
 
     def _detect_dense(self, active: List[_Slot], n_dense: int) -> None:

@@ -29,18 +29,17 @@ Behavioural equivalence with the pre-kernel loop is bit-for-bit and is
 pinned by the golden-run suite (``tests/integration/
 test_golden_equivalence.py``); any reordering here must keep it green.
 
-These classes are also the **scalar fallback** of the lockstep batch
+These classes are also the **scalar tier** of the lockstep batch
 executor: :class:`repro.kernel.batch.BatchRunner` walks the same eight
 stages as *columns* across its rows, runs dense rows through vectorised
-implementations (SoA numpy columns in
+implementations (the batched CAN codec and SoA numpy columns in
 :class:`repro.kernel.batch.BatchState`), and runs any row that diverges
 from the fast path — active alert, CAN transformer, driver
 intervention, non-vectorisable actor scripts — through these per-run
-``run(ctx)`` methods instead.  A cycle below the dense tier threshold
-runs the plan, actuate and detect methods for every row, and one below
-the fused threshold runs all eight.  The record stage is never
-vectorised, so whatever it does — the flight recorder's capture
-included — happens the same way on both paths.  A stage edit here
+``run(ctx)`` methods instead.  A cycle with fewer dense rows than the
+dense tier threshold runs all eight methods for every row.  The record
+stage is never vectorised, so whatever it does — the flight recorder's
+capture included — happens the same way on both paths.  A stage edit here
 therefore changes *both* paths' reference semantics: keep the golden
 batch-equivalence suite (``tests/integration/test_batch_equivalence.py``,
 batch sizes 1/8/64/256) green alongside the sequential goldens.

@@ -73,9 +73,10 @@ class TelemetryConfig:
     Attributes:
         probe_stages: Wrap each scalar run's pipeline with the per-stage
             probe (one stage timed per cycle, within the <5 % overhead
-            budget).  Off, a scalar run records only run-level metrics;
-            the lockstep batch executor times its stage columns either
-            way.
+            budget), and have the lockstep batch executor time its eight
+            stage columns every cycle.  Off, a scalar run records only
+            run-level metrics and a batch only its per-cycle
+            ``perf.batch.*`` metrics.
         trace: Keep a span ring buffer (campaign/chunk/run/generation
             spans; exportable to Perfetto / chrome://tracing).
         trace_capacity: Ring-buffer size in spans (oldest are dropped

@@ -7,8 +7,9 @@ objects, but a ``run_cycle`` that times one stage with
 :meth:`ProbedPipeline.flush` (called once per run, from the simulation's
 finalizer) folds the buffers into per-stage histograms
 (``perf.stage.<name>.ns``).  The lockstep batch executor never calls
-``run_cycle``: it times its eight stage columns itself, on every cycle,
-into the same histograms (:class:`repro.kernel.batch.BatchRunner`).
+``run_cycle``: when ``probe_stages`` is on, it times its eight stage
+columns itself, on every cycle, into the same histograms
+(:class:`repro.kernel.batch.BatchRunner`).
 
 Overhead control
 ----------------

@@ -59,18 +59,17 @@ def noisy_world(message_bus, can_bus) -> World:
 
 @pytest.fixture(params=["production", "forced"])
 def kernel_tiers(request, monkeypatch):
-    """Run a batch test at the production tier thresholds, then with
-    every vectorised tier forced on.
+    """Run a batch test at the production tier threshold, then with the
+    dense tier forced on.
 
-    The production thresholds (``DENSE_MIN_ACTIVE``, ``FUSED_MIN_ACTIVE``
-    in :mod:`repro.kernel.batch`) keep narrow batches on the scalar and
-    fused tiers.  With both at 1 even a one-row batch runs the fused
-    codec and the dense SoA columns, so a test taking this fixture covers
-    every tier at every width it runs.
+    The production threshold (``DENSE_MIN_ACTIVE`` in
+    :mod:`repro.kernel.batch`) keeps narrow batches on the scalar tier.
+    At 1 even a one-row batch runs the CAN codec and the dense SoA
+    columns, so a test taking this fixture covers both tiers at every
+    width it runs.
     """
     if request.param == "forced":
         from repro.kernel import batch
 
         monkeypatch.setattr(batch, "DENSE_MIN_ACTIVE", 1)
-        monkeypatch.setattr(batch, "FUSED_MIN_ACTIVE", 1)
     return request.param

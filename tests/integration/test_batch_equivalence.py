@@ -8,13 +8,15 @@ to sequential results —
 
 * every golden run (all catalog scenarios attack-free plus one attacked
   S1 run per attack type) replays identically through ``batch_size`` 1,
-  8, 64 and 256 at the production tier thresholds, and through 1, 8 and
-  64 with every tier forced on (from 64 up the whole golden set rides in
-  one batch) — covering the scalar lockstep fallback, the fused codec
-  path and the SoA dense column path at every distinct batching;
-* the production thresholds pick the tier documented in
+  8, 64 and 256 at the production tier threshold, and through 1, 8 and
+  64 with the dense tier forced on (from 64 up the whole golden set
+  rides in one batch) — covering the scalar tier and the dense tier
+  (CAN codec plus SoA columns) at every distinct batching;
+* the production threshold picks the tier documented in
   :mod:`repro.kernel.batch`, and a batch whose dense row count crosses
   the threshold both ways mid-run stays identical;
+* a transformer attached mid-run, inside a dense cycle, hands its row
+  to the scalar stages without changing a result;
 * a sampled-family campaign produces identical results batched,
   sequential, and batched-inside-parallel-workers;
 * the lockstep machinery itself (retirement, refill, progress, strategy
@@ -27,12 +29,14 @@ import sys
 import numpy as np
 import pytest
 
+from repro.can.honda import ADDR, HONDA_DBC
 from repro.core.attack_types import AttackType
+from repro.core.can_tamper import tamper_signal
 from repro.core.strategies import strategy_by_name
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.engine import Simulation, SimulationConfig, run_simulation
 from repro.kernel import BatchRunner, StepContext, batch, run_batched
-from repro.kernel.batch import FUSED_MIN_ACTIVE, BatchState
+from repro.kernel.batch import BatchState
 from repro.scenarios import ScenarioSampler
 
 _GOLDEN_DIR = os.path.join(
@@ -85,15 +89,21 @@ class TestGoldenBatchEquivalence:
 
 class TestTierThresholds:
     def _column_calls(self, monkeypatch, width):
-        """Calls of two dense columns over ``width`` 50-step runs."""
-        calls = {"update_long_columns": 0, "step_ego_columns": 0}
-        for name in calls:
+        """Calls of two dense columns and of the CAN codec's encode over
+        ``width`` 50-step runs."""
+        calls = {"update_long_columns": 0, "step_ego_columns": 0, "encode": 0}
 
-            def counting(*args, _name=name, _column=getattr(batch, name)):
-                calls[_name] += 1
-                return _column(*args)
+        def counted(name, function):
+            def counting(*args):
+                calls[name] += 1
+                return function(*args)
 
-            monkeypatch.setattr(batch, name, counting)
+            return counting
+
+        for name in ("update_long_columns", "step_ego_columns"):
+            monkeypatch.setattr(batch, name, counted(name, getattr(batch, name)))
+        codec = batch.BatchMessageCodec
+        monkeypatch.setattr(codec, "encode", counted("encode", codec.encode))
         tasks = [
             (SimulationConfig(scenario="S1", initial_distance=70.0, seed=i, max_steps=50), None)
             for i in range(width)
@@ -103,18 +113,22 @@ class TestTierThresholds:
 
     def test_paper_width_batch_stays_off_the_dense_columns(self, monkeypatch):
         # 16 rows (the default width, and the paper campaign's) are below
-        # the dense break-even: the SoA columns must not run at all.
+        # the dense break-even: neither the SoA columns nor the codec may
+        # run at all.
         assert self._column_calls(monkeypatch, 16) == {
             "update_long_columns": 0,
             "step_ego_columns": 0,
+            "encode": 0,
         }
 
     def test_wide_uniform_batch_runs_the_dense_columns_every_cycle(self, monkeypatch):
         # Equal-length attack-free rows stay dense until they retire
-        # together, so each column runs once per cycle.
+        # together, so each column runs once per cycle, and the codec
+        # encodes the four frames of a cycle in four passes.
         assert self._column_calls(monkeypatch, 48) == {
             "update_long_columns": 50,
             "step_ego_columns": 50,
+            "encode": 200,
         }
 
     def test_dense_tier_switches_off_and_back_on_through_refills(self, monkeypatch):
@@ -129,7 +143,6 @@ class TestTierThresholds:
         # switches until its follower rear-ends it (~10.3 s), so its
         # result depends on the ring hand-off.
         monkeypatch.setattr(batch, "DENSE_MIN_ACTIVE", 4)
-        monkeypatch.setattr(batch, "FUSED_MIN_ACTIVE", 1)
         specs = [
             ("S1", 50.0, AttackType.STEERING_LEFT, 2000),
             ("S1", 70.0, AttackType.STEERING_LEFT, 2000),
@@ -158,7 +171,26 @@ class TestTierThresholds:
                 for scenario, distance, attack, steps in specs
             ]
 
+        # A follower reaches the result only through a rear-end collision,
+        # so every run's final follower kinematics are compared with the
+        # sequential run's too: a ring hand-off missed in either direction
+        # shows there.
+        followers = []
+        original_finalize = Simulation.finalize
+
+        def recording_finalize(sim, *args, **kwargs):
+            follower = sim.world.follower
+            if follower is not None:
+                config = sim.config
+                key = (config.scenario, config.initial_distance, config.attack_type)
+                state = follower.state
+                followers[-1][key] = (state.s, state.speed, state.accel)
+            return original_finalize(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulation, "finalize", recording_finalize)
+        followers.append({})
         expected = [run_simulation(config, strategy) for config, strategy in tasks()]
+        followers.append({})
         runner = BatchRunner(batch_size=6)
         dense_rows = []
         original_cycle = runner._cycle
@@ -184,6 +216,7 @@ class TestTierThresholds:
         runner._cycle = counting_cycle
         runner._detect_dense = checked_detect
         assert runner.run_tasks(tasks()) == expected
+        assert followers[0] and followers[1] == followers[0]
 
         dense = [rows >= 4 for rows in dense_rows]
         switches = list(zip(dense, dense[1:]))
@@ -211,8 +244,8 @@ class TestSampledFamilyCampaignEquivalence:
         assert batched == sequential
 
     def test_batched_inside_parallel_workers_equals_sequential(self, kernel_tiers):
-        # Forked workers inherit the patched thresholds, so in the forced
-        # case the 4-row batches run the fused and dense tiers.
+        # Forked workers inherit the patched threshold, so in the forced
+        # case the 4-row batches run the dense tier.
         config = self._config(16)
         sequential = Campaign(config).run()
         combined = Campaign(config).run(workers=2, batch_size=4)
@@ -292,11 +325,11 @@ class TestBatchRunnerMechanics:
             assert list(getattr(state, column)) == [value, value], column
 
     def test_dense_kinematics_columns_equal_gather_row(self, monkeypatch):
-        # With every tier forced on, the actuate column writes the dense
-        # rows' detect kinematics from its own columns; at every detect
-        # they must equal what gather_row writes from the run contexts.
+        # With the dense tier forced on, the actuate column writes the
+        # dense rows' detect kinematics from its own columns; at every
+        # detect they must equal what gather_row writes from the run
+        # contexts.
         monkeypatch.setattr(batch, "DENSE_MIN_ACTIVE", 1)
-        monkeypatch.setattr(batch, "FUSED_MIN_ACTIVE", 1)
         columns = (
             "time", "ego_s", "ego_d", "ego_speed", "lead_gap", "lead_speed",
             "left_edge", "right_edge", "lead_d", "has_lead",
@@ -305,7 +338,7 @@ class TestBatchRunnerMechanics:
 
         class Checked(BatchRunner):
             def _detect_column(self, active):
-                n = self._n_dense
+                n = self._n_vec
                 expected = BatchState(len(active))
                 for row in range(n):
                     expected.gather_row(row, active[row].ctx)
@@ -329,9 +362,9 @@ class TestBatchRunnerMechanics:
         # A man-in-the-middle transformer makes the codec fast path
         # unsound; the runner must detect it and still produce the exact
         # sequential result through the scalar stages.  Four rows run
-        # every column's scalar stages at the production thresholds;
-        # forced, they run the fused columns, whose per-row fallback must
-        # take every row.
+        # the scalar tier at the production threshold; forced, the
+        # transformer keeps every row out of the dense prefix from its
+        # admission.
         config = SimulationConfig(scenario="S1", initial_distance=70.0, seed=5, max_steps=300)
         expected = run_simulation(config)
 
@@ -354,10 +387,59 @@ class TestBatchRunnerMechanics:
         assert tampered["done"]
         assert all(result == expected for result in results)
 
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_transformer_attached_by_an_output_hook_mid_run(
+        self, width, kernel_tiers, monkeypatch
+    ):
+        # At t >= 1 s an output hook registers a transformer that rewrites
+        # every ACC_CONTROL frame into a hard brake.  The hook runs inside
+        # the inject stage, so with the dense tier forced the inject
+        # column finds the transformer within the very cycle it encodes
+        # the row's commands: it must send that row scalar, and the drive
+        # column must decode the rewritten frames from the bus.
+        def brake(frame):
+            if frame.address == ADDR["ACC_CONTROL"]:
+                return tamper_signal(
+                    frame, HONDA_DBC, {"ACCEL_COMMAND": 0.0, "BRAKE_COMMAND": 3.0}
+                )
+            return None
+
+        original_init = Simulation.__init__
+
+        def patched_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            bus = self.world.can_bus
+
+            def attach_once(time, command, car_state):
+                if time >= 1.0 and not bus.has_transformers:
+                    bus.add_transformer(brake)
+                return command
+
+            self.openpilot.add_output_hook(attach_once)
+
+        tasks = [
+            (
+                SimulationConfig(
+                    scenario="S1",
+                    initial_distance=70.0,
+                    seed=i,
+                    max_steps=300,
+                    record_trajectory=True,
+                ),
+                None,
+            )
+            for i in range(width)
+        ]
+        untampered = run_simulation(tasks[0][0])
+        monkeypatch.setattr(Simulation, "__init__", patched_init)
+        expected = [run_simulation(config) for config, _ in tasks]
+        assert expected[0] != untampered, "the transformer never changed a run"
+        assert run_batched(tasks, batch_size=width) == expected
+
     def test_drained_batch_below_threshold_stays_identical(self):
-        # Fewer tasks than the fused threshold: every column runs each
-        # row's scalar stage.
-        n = FUSED_MIN_ACTIVE - 1
+        # A batch that never fills its eight slots, far below the dense
+        # threshold: every column runs each row's scalar stage.
+        n = 7
         tasks = self._tasks(n, max_steps=300)
         expected = [run_simulation(c) for c, _ in tasks]
         assert run_batched(tasks, batch_size=8) == expected

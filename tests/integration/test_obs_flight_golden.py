@@ -7,8 +7,8 @@ run, so two guarantees are pinned here for every golden run:
 
 * **bit-for-bit** golden equality with capture at full rate —
   sequentially and through the lockstep batch runner at the production
-  tier thresholds and with every tier forced on, so the scalar, fused
-  and dense tiers all run recorded;
+  tier threshold and with the dense tier forced on, so the scalar and
+  dense tiers both run recorded;
 * **the same record on both paths** — with every run flushed, the ring
   and cycle count written by ``run_simulation`` equal the ones written
   by ``run_batched``, sample for sample, with telemetry off and on.

@@ -5,7 +5,8 @@ Three guarantees are pinned here:
 1. **Observe, never perturb** — every golden run is bit-identical with a
    probe + tracer attached, so enabling observability can never change
    science results; the probe times one stage per cycle on the scalar
-   path, and the batch runner times every stage column of every cycle.
+   path, and the batch runner times every stage column of every cycle
+   (with stage probes off, only the cycles).
 2. **Mode-independent aggregation** — the deterministic snapshot
    (everything outside ``perf.*``) of one campaign is identical whether
    it ran sequentially, lockstep-batched, on a process pool or under
@@ -107,9 +108,9 @@ def _assert_every_column_timed(telemetry, cycles: int, steps: int) -> None:
 
 class TestBatchedStageTiming:
     def test_narrow_cycles_time_every_stage_column(self, kernel_tiers):
-        # Four rows sit below FUSED_MIN_ACTIVE at the production
-        # thresholds, so every cycle is narrow; each must still time all
-        # eight stage columns, as the forced tiers' cycles do.
+        # Four rows run the scalar tier at the production threshold; each
+        # cycle must still time all eight stage columns, as the forced
+        # dense tier's cycles do.
         tasks = [
             (SimulationConfig(scenario="S1", seed=seed, max_steps=steps), None)
             for seed, steps in enumerate((200, 150, 100, 50))
@@ -120,9 +121,9 @@ class TestBatchedStageTiming:
 
     def test_cycles_crossing_the_tier_thresholds_time_every_stage_column(self, kernel_tiers):
         # Forty rows retiring two cycles apart: at the production
-        # thresholds the batch starts above DENSE_MIN_ACTIVE and drains
-        # through the fused tier to narrow cycles, and every cycle of
-        # every tier times all eight stage columns.
+        # threshold the batch starts above DENSE_MIN_ACTIVE and drains
+        # into scalar-tier cycles, and every cycle of both tiers times
+        # all eight stage columns.
         lengths = [40 + 2 * index for index in range(40)]
         tasks = [
             (SimulationConfig(scenario="S1", seed=seed, max_steps=steps), None)
@@ -131,6 +132,24 @@ class TestBatchedStageTiming:
         telemetry = Telemetry(TelemetryConfig())
         run_batched(tasks, batch_size=40, telemetry=telemetry)
         _assert_every_column_timed(telemetry, cycles=max(lengths), steps=sum(lengths))
+
+    def test_stage_probes_off_time_only_the_cycles(self, kernel_tiers):
+        # probe_stages=False, the configuration perfbench traces with:
+        # the batch runner keeps its per-cycle metrics and times no stage
+        # column.
+        lengths = (200, 150, 100, 50)
+        tasks = [
+            (SimulationConfig(scenario="S1", seed=seed, max_steps=steps), None)
+            for seed, steps in enumerate(lengths)
+        ]
+        telemetry = Telemetry(TelemetryConfig(probe_stages=False))
+        run_batched(tasks, batch_size=4, telemetry=telemetry)
+        snapshot = telemetry.snapshot()
+        histograms = snapshot["histograms"]
+        assert not any(name.startswith("perf.stage.") for name in histograms)
+        assert histograms["perf.batch.cycle_ns"]["count"] == max(lengths)
+        counters = snapshot["counters"]
+        assert counters["perf.batch.cycle_rows"] == counters["runs.steps"] == sum(lengths)
 
 
 def _campaign_config():

@@ -8,9 +8,9 @@ rows that stay dense and rows that demote mid-run, the batched results
 must be bit-identical to running every task through the sequential
 engine — no tolerance, ``RunResult.__eq__`` compares every field.
 
-These batches (2–8 rows) sit below the production tier thresholds, so
-each test also runs with both thresholds forced to 1: the dense SoA
-columns and the fused codec then run at every width.
+These batches (2–8 rows) sit below the production tier threshold, so
+each test also runs with ``DENSE_MIN_ACTIVE`` forced to 1: the CAN
+codec and the dense SoA columns then run at every width.
 """
 
 from hypothesis import HealthCheck, given, settings
