@@ -14,7 +14,8 @@ Four checks over the observability layer, at smoke scale:
 3. **chaos correlation** — a supervised campaign under injected worker
    faults must journal the recovery trail (``supervisor.retry`` /
    ``supervisor.respawn``) with the caller's bound correlation id on
-   every record;
+   every record, and the handle's ``supervisor.retries`` /
+   ``supervisor.pool_respawns`` counters must equal those line counts;
 4. **post-mortem CLI** — ``obs_report`` must render the timeline, job
    summary and hazard views of the artifacts produced above.
 
@@ -43,6 +44,7 @@ from repro.obs.recorder import FlightRecorderConfig
 from repro.resilience.chaos import ChaosPolicy, FaultSpec
 from repro.resilience.supervisor import SupervisionPolicy, run_supervised_simulations
 from repro.service import CampaignService, CampaignJobSpec
+from repro.telemetry import Telemetry
 
 import obs_report
 
@@ -161,13 +163,14 @@ def check_chaos_correlation(out_dir: str) -> None:
         state_dir=os.path.join(out_dir, "chaos-state"),
         seed=7,
     )
+    telemetry = Telemetry(journal=journal)
     outcome = run_supervised_simulations(
         campaign.tasks(),
         policy=SupervisionPolicy(max_chunk_attempts=3, backoff_base=0.0),
         workers=2,
         chunk_size=2,
         chaos=chaos,
-        journal=journal.bind(job_id=0),
+        telemetry=telemetry.bind(job_id=0),
     )
     journal.close()
     records = read_journal(journal_path)
@@ -182,7 +185,15 @@ def check_chaos_correlation(out_dir: str) -> None:
     assert all(record.get("job_id") == 0 for record in records), (
         "bound correlation id missing from a supervised event"
     )
-    print(f"chaos correlation OK: {dict(kinds)} all carrying job_id=0")
+    counters = telemetry.snapshot()["counters"]
+    for counter, kind in (
+        ("supervisor.retries", "supervisor.retry"),
+        ("supervisor.pool_respawns", "supervisor.respawn"),
+    ):
+        assert counters.get(counter, 0) == kinds[kind], (
+            f"{counter} {counters.get(counter, 0)} != {kinds[kind]} {kind} lines"
+        )
+    print(f"chaos correlation OK: {dict(kinds)} all carrying job_id=0, counted once each")
 
 
 def check_cli(out_dir: str) -> None:

@@ -48,7 +48,6 @@ from repro.resilience.supervisor import run_supervised_simulations
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.obs.journal import EventJournal
     from repro.obs.recorder import FlightRecorderConfig
     from repro.resilience.chaos import ChaosPolicy
     from repro.resilience.supervisor import SupervisionPolicy
@@ -100,7 +99,6 @@ def run_simulations(
     telemetry: Optional[Telemetry] = None,
     cache: Optional["RunCache"] = None,
     recorder: Optional["FlightRecorderConfig"] = None,
-    journal: Optional["EventJournal"] = None,
 ) -> List[RunResult]:
     """Run independent ``(SimulationConfig, strategy)`` pairs, optionally
     on a process pool and/or lockstep-batched, preserving input order.
@@ -131,9 +129,10 @@ def run_simulations(
     ``progress`` up front.
 
     ``recorder`` (:class:`repro.obs.FlightRecorderConfig`) arms the
-    per-run flight recorder in every chunk; ``journal``
-    (:class:`repro.obs.EventJournal` or a bound view) receives the
-    supervisor's and the cache's causal events — it stays in this
+    per-run flight recorder in every chunk.  ``telemetry`` receives the
+    supervisor's and the cache's events too, and journals them when an
+    event journal is attached to it (correlated by
+    :meth:`~repro.telemetry.Telemetry.bind`); the journal stays in this
     process and is never pickled to workers.
     """
     return run_supervised_simulations(
@@ -147,5 +146,4 @@ def run_simulations(
         telemetry=telemetry,
         cache=cache,
         recorder=recorder,
-        journal=journal,
     ).completed_results

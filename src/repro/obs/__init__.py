@@ -11,19 +11,20 @@
   (hazard, collision, alert, failure — or always, or on demand);
 * :mod:`repro.obs.journal` — the append-only **causal event journal**:
   JSONL with service-wide monotonic sequence numbers and correlation
-  fields (``job_id → chunk_id → fingerprint → attempt``) fed by the
-  campaign service, the supervisor, the run cache and the search driver,
-  durable by group commit (every event flushed, commit
-  points such as a job's submission and result fsynced), with rotation
-  and a crash-tolerant reader that can rebuild a job's state after
-  process death;
+  fields (``job_id → chunk_id → fingerprint → attempt``): one line per
+  event of the campaign service, the supervisor, the run cache and the
+  search driver, when the telemetry handle they emit through carries the
+  journal (``Telemetry(journal=...)``, correlated by ``Telemetry.bind``);
+  durable by group commit (every event flushed, commit points such as a
+  job's submission and result fsynced), with rotation and a
+  crash-tolerant reader that can rebuild a job's state after process
+  death;
 * :mod:`repro.obs.query` — the post-mortem join of journal + flight
   records + telemetry snapshot (timelines, per-job causal summaries,
   hazard forensics), driven by ``scripts/obs_report.py``.
 """
 
 from repro.obs.journal import (
-    BoundJournal,
     EventJournal,
     JournalError,
     JobReplay,
@@ -49,7 +50,6 @@ from repro.obs.recorder import (
 )
 
 __all__ = [
-    "BoundJournal",
     "EventJournal",
     "FLIGHT_RECORD_VERSION",
     "FLIGHT_SAMPLE_FIELDS",

@@ -1,24 +1,27 @@
 """The causal event journal: append-only, durable, correlated JSONL.
 
-One :class:`EventJournal` serves a whole service process.  Every emitter
-— the campaign service (``job.*``), the supervisor (``supervisor.*``),
-the run cache (``cache.*``) and the search driver (``search.*``) —
-appends one compact JSON line per
-event, stamped with a journal-wide strictly monotonic sequence number
-and whatever correlation fields the emitter carries (``job_id`` →
-``chunk_id`` → ``fingerprint`` → ``attempt``), so a post-mortem can walk
-the exact causal chain of any run across layers.
+One :class:`EventJournal` serves a whole service process.  It is
+attached to a telemetry handle (``Telemetry(journal=...)``), and every
+event emitted through that handle — the campaign service's ``job.*``,
+the supervisor's ``supervisor.*``, the run cache's ``cache.*`` and the
+search driver's ``search.generation``, at the levels
+:data:`repro.telemetry.EVENTS` gives them — appends one compact JSON
+line, stamped with a journal-wide strictly monotonic sequence number
+and the correlation fields bound on the handle or carried by the event
+(``job_id`` → ``chunk_id`` → ``fingerprint`` → ``attempt``), so a
+post-mortem can walk the exact causal chain of any run across layers.
 
 Durability is a group commit.  Every event is written and flushed to
 the operating system before :meth:`EventJournal.emit` returns, so a
 killed process loses nothing.  Only *commit points* are also fsynced
 before ``emit`` returns: ``job.queued`` (a submission is acknowledged),
 ``job.completed`` and ``job.failed`` (a job's result is acknowledged),
-and every event above ``info`` level (cache bypasses and corruptions,
-supervisor retries, respawns and quarantines — rare and forensic).
-After a machine crash the file therefore reaches at least the last
-commit point; what a crash can lose is the info-level progress, cache
-and supervisor events of unfinished jobs.  The cache already holds
+and every event above ``info`` level (cache bypasses and corruptions;
+supervisor timeouts, respawns, degradations and quarantines — rare and
+forensic).  After a machine crash the file therefore reaches at least
+the last commit point; what a crash can lose is the info-level events
+of unfinished jobs: progress, cache traffic, search generations and
+supervisor retries and bisections.  The cache already holds
 those jobs' finished runs (every blob write is atomic and fsynced), and
 :func:`replay_jobs` reports the jobs as queued or running; rerunning
 them on the same cache pays only for the runs the cache lacks.  Rotation
@@ -108,10 +111,6 @@ class EventJournal:
                 self._rotate_locked()
         return seq
 
-    def bind(self, **fields: Any) -> "BoundJournal":
-        """A view that stamps ``fields`` onto every emitted event."""
-        return BoundJournal(self, {k: v for k, v in fields.items() if v is not None})
-
     def close(self) -> None:
         """Flush, fsync and close the file (reopened on next emit)."""
         with self._lock:
@@ -143,30 +142,6 @@ class EventJournal:
         self._close_locked()
         os.replace(self.path, self.path + ".1")
         fsync_directory(self.path)
-
-
-class BoundJournal:
-    """An :class:`EventJournal` view carrying default correlation fields.
-
-    ``bind`` composes: ``journal.bind(job_id=3).bind(chunk_id=1)``
-    stamps both.  Explicit ``emit`` fields win over bound defaults.
-    """
-
-    __slots__ = ("_journal", "_fields")
-
-    def __init__(self, journal: EventJournal, fields: Dict[str, Any]):
-        self._journal = journal
-        self._fields = fields
-
-    def emit(self, kind: str, level: str = "info", **fields: Any) -> int:
-        merged = dict(self._fields)
-        merged.update(fields)
-        return self._journal.emit(kind, level=level, **merged)
-
-    def bind(self, **fields: Any) -> "BoundJournal":
-        merged = dict(self._fields)
-        merged.update({k: v for k, v in fields.items() if v is not None})
-        return BoundJournal(self._journal, merged)
 
 
 # ----------------------------------------------------------------------
@@ -301,19 +276,16 @@ def replay_jobs(records: Iterable[Dict[str, Any]]) -> Dict[int, JobReplay]:
 def job_event_stream(
     records: Iterable[Dict[str, Any]], job_id: int
 ) -> List[Dict[str, Any]]:
-    """The job's normalized ``job.*`` event stream, in journal order.
+    """The job's normalized ``job.*`` event stream, in journal order
+    (its :func:`replay_jobs` events).
 
     Normalization strips the fields that legitimately differ between two
     executions of the same work (sequence numbers, wall-clock stamps),
     so an interrupted run's stream can be compared event-for-event as a
     prefix of an uninterrupted run's stream.
     """
-    return [
-        _normalize(record)
-        for record in records
-        if record.get("kind", "").startswith("job.")
-        and record.get("job_id") == job_id
-    ]
+    replay = replay_jobs(records).get(job_id)
+    return [] if replay is None else replay.events
 
 
 def _normalize(record: Dict[str, Any]) -> Dict[str, Any]:

@@ -17,9 +17,11 @@ artifacts the write side produces, shared by tests and the
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
+from repro.obs.journal import JobReplay, replay_jobs
 from repro.obs.recorder import FLIGHT_RECORD_VERSION
 
 
@@ -154,61 +156,30 @@ def run_events(
 def job_summaries(records: Iterable[Dict[str, Any]]) -> List[str]:
     """One causal summary line per job seen in the journal.
 
-    Joins the ``job.*`` lifecycle with the correlated ``supervisor.*``,
-    ``cache.*`` and ``search.*`` events that carried the same
-    ``job_id``.
+    Joins the ``job.*`` lifecycle (folded by
+    :func:`~repro.obs.journal.replay_jobs`) with the correlated
+    ``supervisor.*``, ``cache.*`` and ``search.*`` events that carried
+    the same ``job_id``.
     """
-    per_job: Dict[int, Dict[str, Any]] = {}
+    records = list(records)
+    jobs = replay_jobs(records)
+    counts: Counter = Counter()  # (job_id, kind) -> correlated events
+    quarantined: Dict[int, List[str]] = {}
     for record in records:
-        job_id = record.get("job_id")
-        if not isinstance(job_id, int):
+        job_id, kind = record.get("job_id"), record.get("kind", "")
+        if not isinstance(job_id, int) or kind.startswith("job."):
             continue
-        stats = per_job.setdefault(
-            job_id,
-            {
-                "status": "queued",
-                "completed": 0,
-                "total": None,
-                "chunks": 0,
-                "error": None,
-                "counts": {},
-                "quarantined": [],
-            },
-        )
-        kind = record.get("kind", "")
-        if kind == "job.queued":
-            if isinstance(record.get("total"), int):
-                stats["total"] = record["total"]
-        elif kind == "job.started":
-            stats["status"] = "running"
-        elif kind == "job.progress":
-            stats["chunks"] += 1
-            if isinstance(record.get("completed"), int):
-                stats["completed"] = record["completed"]
-            if isinstance(record.get("total"), int):
-                stats["total"] = record["total"]
-        elif kind == "job.completed":
-            stats["status"] = "completed"
-            if stats["total"] is not None:
-                stats["completed"] = stats["total"]
-        elif kind == "job.failed":
-            stats["status"] = "failed"
-            stats["error"] = record.get("error")
-        else:
-            counts = stats["counts"]
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind == "supervisor.quarantine":
-                fingerprint = record.get("fingerprint")
-                if fingerprint:
-                    stats["quarantined"].append(fingerprint)
+        counts[job_id, kind] += 1
+        if kind == "supervisor.quarantine" and record.get("fingerprint"):
+            quarantined.setdefault(job_id, []).append(record["fingerprint"])
     lines = []
-    for job_id in sorted(per_job):
-        stats = per_job[job_id]
-        parts = [f"job {job_id}: {stats['status']}"]
-        if stats["total"] is not None:
-            parts.append(f"{stats['completed']}/{stats['total']} runs")
-        if stats["chunks"]:
-            parts.append(f"{stats['chunks']} chunks")
+    for job_id in sorted(set(jobs) | {job_id for job_id, _ in counts}):
+        job = jobs.get(job_id) or JobReplay(job_id)
+        parts = [f"job {job_id}: {job.status}"]
+        if job.total is not None:
+            parts.append(f"{job.completed}/{job.total} runs")
+        if job.chunks:
+            parts.append(f"{job.chunks} chunks")
         for kind, label in (
             ("supervisor.retry", "retries"),
             ("supervisor.timeout", "timeouts"),
@@ -220,14 +191,14 @@ def job_summaries(records: Iterable[Dict[str, Any]]) -> List[str]:
             ("cache.bypass", "cache bypasses"),
             ("search.generation", "generations"),
         ):
-            count = stats["counts"].get(kind, 0)
+            count = counts[job_id, kind]
             if count:
                 parts.append(f"{count} {label}")
-        if stats["quarantined"]:
-            shown = ", ".join(fp[:12] for fp in stats["quarantined"])
+        if job_id in quarantined:
+            shown = ", ".join(fp[:12] for fp in quarantined[job_id])
             parts.append(f"quarantined fingerprints: {shown}")
-        if stats["error"]:
-            parts.append(f"error: {stats['error']}")
+        if job.error:
+            parts.append(f"error: {job.error}")
         lines.append("; ".join(parts))
     return lines
 

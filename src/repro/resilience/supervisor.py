@@ -19,7 +19,9 @@ through it.  Every dispatch:
 * accepts chunks as they complete: results land at their task indices,
   fresh results are stored in the run cache *before* ``progress`` fires
   (so an interrupted dispatch resumes from the cache directory), and the
-  accepted chunks' telemetry snapshots are merged in chunk order.
+  accepted chunks' telemetry snapshots are merged in chunk order;
+* emits every event once, through its telemetry handle: the cache's
+  ``cache.*`` traffic and the loop's ``supervisor.*`` recovery trail.
 
 Without a :class:`SupervisionPolicy` the first failed attempt raises its
 fingerprinted :class:`~repro.resilience.errors.TaskExecutionError`, and a
@@ -69,10 +71,9 @@ import numpy as np
 from repro.analysis.metrics import RunResult
 from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.errors import TaskExecutionError, task_fingerprint
-from repro.telemetry import MetricsRegistry, Telemetry, TelemetryConfig
+from repro.telemetry import Telemetry, TelemetryConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.obs.journal import EventJournal
     from repro.obs.recorder import FlightRecorderConfig
     from repro.service.cache import RunCache
     from repro.telemetry.tracing import Tracer
@@ -85,6 +86,16 @@ ChunkPayload = Tuple[List[Tuple[int, RunResult]], Optional[dict]]
 
 #: Seconds between supervision sweeps (future wait timeout).
 _POLL_SECONDS = 0.05
+
+#: The :class:`ExecutionReport` count each supervision event bumps
+#: (``supervisor.quarantine`` files its task in the report's quarantine,
+#: ``supervisor.degraded`` sets its flag).
+_REPORT_COUNTS = {
+    "supervisor.retry": "retries",
+    "supervisor.bisect": "bisections",
+    "supervisor.timeout": "timeouts",
+    "supervisor.respawn": "pool_respawns",
+}
 
 
 @dataclass(frozen=True)
@@ -211,28 +222,6 @@ class ExecutionReport:
     def __str__(self) -> str:
         return self.summary()
 
-    def metrics_snapshot(self) -> dict:
-        """The report as a mergeable metrics snapshot (``supervisor.*``).
-
-        Merge it into a campaign-level registry with
-        :meth:`~repro.telemetry.MetricsRegistry.merge` — the executor
-        does this automatically when given a telemetry handle.
-        """
-        registry = MetricsRegistry()
-        registry.counter("supervisor.tasks").inc(self.total)
-        registry.counter("supervisor.completed").inc(self.completed)
-        registry.counter("supervisor.loaded_from_cache").inc(self.loaded_from_cache)
-        registry.counter("supervisor.retries").inc(self.retries)
-        registry.counter("supervisor.bisections").inc(self.bisections)
-        registry.counter("supervisor.timeouts").inc(self.timeouts)
-        registry.counter("supervisor.pool_respawns").inc(self.pool_respawns)
-        registry.counter("supervisor.scalar_fallbacks").inc(self.scalar_fallbacks)
-        registry.counter("supervisor.quarantined").inc(len(self.quarantine.tasks))
-        if self.degraded_to_sequential:
-            registry.counter("supervisor.degraded_to_sequential").inc()
-        registry.gauge("perf.supervisor.backoff_s").set(self.backoff_seconds)
-        return registry.snapshot()
-
 
 @dataclass
 class SupervisedOutcome:
@@ -256,12 +245,11 @@ class SupervisedOutcome:
 class _ChunkWork:
     """One chunk of tasks plus its retry bookkeeping."""
 
-    __slots__ = ("entries", "attempts", "last_error")
+    __slots__ = ("entries", "attempts")
 
     def __init__(self, entries: Sequence[Entry]):
         self.entries = entries          # [(absolute index, task), ...]
         self.attempts = 0
-        self.last_error: Optional[BaseException] = None
 
     @property
     def anchor(self) -> int:
@@ -364,7 +352,6 @@ class SupervisedExecutor:
         chaos: Optional[ChaosPolicy] = None,
         telemetry: Optional[Telemetry] = None,
         recorder: Optional["FlightRecorderConfig"] = None,
-        journal: Optional["EventJournal"] = None,
     ):
         if policy is None and chaos is not None:
             policy = SupervisionPolicy()
@@ -373,21 +360,31 @@ class SupervisedExecutor:
         self.chunk_size = chunk_size
         self.batch_size = batch_size
         self.chaos = chaos
-        # The flight-recorder config ships to the workers (picklable);
-        # the journal stays parent-side: causal events (retry, respawn,
-        # bisection, quarantine) are emitted from the loop, which is
-        # exactly where the facts are decided.
+        # The flight-recorder config ships to the workers (picklable).
         self.recorder = recorder
-        self.journal = journal
         # Chunks record into chunk-local registries; the loop merges the
         # snapshots of accepted attempts only, so a retried chunk is
-        # counted once.
+        # counted once.  Events (retry, respawn, bisection, quarantine)
+        # are emitted from the loop, parent-side, exactly where the facts
+        # are decided.
         self.telemetry = telemetry
         self._processes = self.workers
 
-    def _journal_emit(self, kind: str, level: str = "info", **fields) -> None:
-        if self.journal is not None:
-            self.journal.emit(kind, level=level, **fields)
+    def _event(self, report: ExecutionReport, kind: str, **fields) -> None:
+        """Record one supervision event in ``report`` and emit it."""
+        count = _REPORT_COUNTS.get(kind)
+        if count is not None:
+            setattr(report, count, getattr(report, count) + 1)
+        elif kind == "supervisor.quarantine":
+            report.quarantine.tasks.append(
+                QuarantinedTask(
+                    fields["task"], fields["fingerprint"], fields["error"], fields["attempt"]
+                )
+            )
+        elif kind == "supervisor.degraded":
+            report.degraded_to_sequential = True
+        if self.telemetry is not None:
+            self.telemetry.emit(kind, **fields)
 
     def run_tasks(
         self,
@@ -412,7 +409,7 @@ class SupervisedExecutor:
         if cache is not None:
             from repro.service.cache import partition_tasks
 
-            cache = cache.with_journal(self.journal)
+            cache = cache.with_telemetry(self.telemetry)
             hits, pending, keys = partition_tasks(tasks, cache)
             for index, hit in hits.items():
                 results[index] = hit
@@ -438,12 +435,19 @@ class SupervisedExecutor:
             if pending:
                 self._run([(index, tasks[index]) for index in pending], report, accept)
         finally:
-            if self.telemetry is not None:
+            telemetry = self.telemetry
+            if telemetry is not None:
                 # Chunk order, not completion order: the merged view is
                 # independent of scheduling.
                 for anchor in sorted(snapshots):
-                    self.telemetry.merge(snapshots[anchor])
-                self.telemetry.merge(report.metrics_snapshot())
+                    telemetry.merge(snapshots[anchor])
+                metrics = telemetry.metrics
+                metrics.counter("supervisor.tasks").inc(report.total)
+                metrics.counter("supervisor.completed").inc(report.completed)
+                metrics.counter("supervisor.loaded_from_cache").inc(report.loaded_from_cache)
+                metrics.counter("supervisor.scalar_fallbacks").inc(report.scalar_fallbacks)
+                metrics.gauge("perf.supervisor.backoff_s").set(report.backoff_seconds)
+                telemetry.declare(*_REPORT_COUNTS, "supervisor.quarantine")
         return SupervisedOutcome(results=results, report=report)
 
     def _run(
@@ -467,7 +471,6 @@ class SupervisedExecutor:
         timeout = self.policy.chunk_timeout if self.policy is not None else None
         telemetry = self.telemetry
         worker_telemetry = telemetry.worker_config() if telemetry is not None else None
-        respawns = 0
 
         def settle(work: _ChunkWork, payload) -> None:
             problem = self._validate(work, payload)
@@ -554,13 +557,12 @@ class SupervisedExecutor:
                     if deadline is not None and now > deadline and future in inflight
                 ]
                 if timed_out:
-                    report.timeouts += len(timed_out)
                     for future in timed_out:
                         work = inflight.pop(future)
                         deadlines.pop(future)
-                        self._journal_emit(
+                        self._event(
+                            report,
                             "supervisor.timeout",
-                            level="warning",
                             anchor=work.anchor,
                             tasks=len(work.entries),
                             timeout_s=timeout,
@@ -583,19 +585,16 @@ class SupervisedExecutor:
                     if pool is not None:
                         _kill_pool(pool)
                         pool = None
-                    respawns += 1
-                    report.pool_respawns = respawns
-                    self._journal_emit(
-                        "supervisor.respawn", level="warning", respawns=respawns
+                    self._event(
+                        report, "supervisor.respawn", respawns=report.pool_respawns + 1
                     )
                     if (
-                        respawns > self.policy.max_pool_respawns
+                        report.pool_respawns > self.policy.max_pool_respawns
                         and self.policy.degrade_to_sequential
                     ):
                         use_pool = False
-                        report.degraded_to_sequential = True
-                        self._journal_emit(
-                            "supervisor.degraded", level="warning", respawns=respawns
+                        self._event(
+                            report, "supervisor.degraded", respawns=report.pool_respawns
                         )
         finally:
             if pool is not None:
@@ -647,21 +646,15 @@ class SupervisedExecutor:
         if policy is None:
             raise error
         work.attempts += 1
-        work.last_error = error
-        tracer = self.telemetry.tracer if self.telemetry is not None else None
         if work.attempts >= policy.max_chunk_attempts:
             if len(work.entries) > 1:
                 # Bisect: isolate the poison task instead of retrying the
                 # whole chunk forever. Each half starts with a clean slate.
-                report.bisections += 1
                 mid = len(work.entries) // 2
                 pending.append(_ChunkWork(work.entries[:mid]))
                 pending.append(_ChunkWork(work.entries[mid:]))
-                if tracer is not None:
-                    tracer.instant(
-                        "supervisor.bisect", anchor=work.anchor, tasks=len(work.entries)
-                    )
-                self._journal_emit(
+                self._event(
+                    report,
                     "supervisor.bisect",
                     anchor=work.anchor,
                     tasks=len(work.entries),
@@ -669,27 +662,15 @@ class SupervisedExecutor:
                 )
             else:
                 index, task = work.entries[0]
-                fingerprint = getattr(error, "fingerprint", "") or task_fingerprint(*task)
-                report.quarantine.tasks.append(
-                    QuarantinedTask(
-                        index=index,
-                        fingerprint=fingerprint,
-                        error=str(error),
-                        attempts=work.attempts,
-                    )
-                )
-                if tracer is not None:
-                    tracer.instant("supervisor.quarantine", task=index)
-                self._journal_emit(
+                self._event(
+                    report,
                     "supervisor.quarantine",
-                    level="warning",
                     task=index,
-                    fingerprint=fingerprint,
+                    fingerprint=getattr(error, "fingerprint", "") or task_fingerprint(*task),
                     attempt=work.attempts,
                     error=str(error),
                 )
             return
-        report.retries += 1
         if (
             self.batch_size is not None
             and self.batch_size > 1
@@ -699,14 +680,8 @@ class SupervisedExecutor:
             report.scalar_fallbacks += 1  # the retry below runs scalar
         delay = policy.backoff_delay(work.anchor, work.attempts)
         report.backoff_seconds += delay
-        if tracer is not None:
-            tracer.instant(
-                "supervisor.retry",
-                anchor=work.anchor,
-                attempt=work.attempts,
-                backoff_s=round(delay, 4),
-            )
-        self._journal_emit(
+        self._event(
+            report,
             "supervisor.retry",
             anchor=work.anchor,
             attempt=work.attempts,
@@ -740,7 +715,6 @@ def run_supervised_simulations(
     telemetry: Optional[Telemetry] = None,
     cache: Optional["RunCache"] = None,
     recorder: Optional["FlightRecorderConfig"] = None,
-    journal: Optional["EventJournal"] = None,
 ) -> SupervisedOutcome:
     """Run tasks through the one task loop; results plus the report.
 
@@ -751,8 +725,9 @@ def run_supervised_simulations(
     results are stored as their chunks are accepted — so rerunning an
     interrupted call on the same cache directory resumes it.
     ``recorder`` arms the per-run flight recorder in every chunk;
-    ``journal`` receives the supervision and cache events (parent-side
-    only).
+    ``telemetry`` receives the run metrics, the supervision and cache
+    events and, when it carries a journal, their journal lines
+    (parent-side only).
     """
     executor = SupervisedExecutor(
         policy=policy,
@@ -762,6 +737,5 @@ def run_supervised_simulations(
         chaos=chaos,
         telemetry=telemetry,
         recorder=recorder,
-        journal=journal,
     )
     return executor.run_tasks(tasks, progress=progress, cache=cache)

@@ -4,11 +4,12 @@
 
 * **generation evaluation** — every generation's unevaluated points are
   expanded into ``repetitions`` simulation tasks each and dispatched
-  as one task list through
-  :func:`repro.injection.executor.run_simulations` — lockstep-batched
-  (``batch_size``), pooled (``workers``) or in-process, all
-  bit-identical, so the search trajectory is a pure function of
-  ``(space, objective, optimizer, master_seed, budget)``;
+  as one task list through the one task loop
+  (:func:`repro.resilience.supervisor.run_supervised_simulations`) —
+  lockstep-batched (``batch_size``), pooled (``workers``) or in-process,
+  all bit-identical, so the search trajectory is a pure function of
+  ``(space, objective, optimizer, master_seed, budget)``; the
+  dispatch's report says how many simulations it paid for;
 * **memoization** — re-proposed points are scored from the memo instead
   of re-simulated (optimizers converge onto their incumbents, so this
   saves real simulations), while the optimizer still receives the score;
@@ -16,8 +17,10 @@
   been evaluated; a truncated final generation evaluates only its first
   points up to the budget;
 * **audit trail** — every generation's proposals, scores and memo hits
-  are recorded (:class:`GenerationRecord`), and every unique evaluation
-  keeps its per-repetition seeds and outcomes (:class:`Evaluation`);
+  are recorded (:class:`GenerationRecord`) and emitted as one
+  ``search.generation`` event through the telemetry handle, and every
+  unique evaluation keeps its per-repetition seeds and outcomes
+  (:class:`Evaluation`);
 * **resume** — with a ``run_cache`` every simulated repetition is stored
   under its content fingerprint, so rerunning an interrupted (or
   smaller-budget) search on the same cache directory replays the
@@ -30,7 +33,7 @@ what makes sequential, pooled and batched evaluation agree.
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +50,6 @@ from repro.search.space import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.obs.journal import BoundJournal, EventJournal
     from repro.service.cache import RunCache
 
 
@@ -155,7 +157,7 @@ class SearchResult:
     best: Optional[Evaluation]
     evaluations: List[Evaluation] = field(default_factory=list)
     trail: List[GenerationRecord] = field(default_factory=list)
-    simulations_run: int = 0    # actual simulator runs this process paid for
+    simulations_run: int = 0    # simulator runs this search's dispatches paid for
 
     @property
     def evaluations_used(self) -> int:
@@ -182,16 +184,17 @@ class SearchDriver:
         telemetry: Optional[Telemetry] = None,
         run_cache: Optional["RunCache"] = None,
         on_generation: Optional[Callable[[SearchResult], None]] = None,
-        journal: "Optional[EventJournal | BoundJournal]" = None,
     ):
         self.space = space
         self.objective = objective
         self.optimizer_factory = optimizer_factory
         self.config = config
-        # Optional observation: search.* counters (evaluations,
-        # simulations, memo hits, generations) are pure functions of the
-        # deterministic search trajectory, so they agree across the three
-        # execution modes; rates land under perf.*.
+        # Optional observation: one "search.generation" event per
+        # completed generation (its search.* counters are pure functions
+        # of the deterministic search trajectory, so they agree across
+        # the three execution modes; rates land under perf.*), journaled
+        # with whatever fields the caller bound (job_id) when the handle
+        # carries a journal, as are its dispatches' cache events.
         self.telemetry = telemetry
         # Optional shared run cache (repro.service.RunCache): every
         # repetition the cache already holds is served without
@@ -203,11 +206,6 @@ class SearchDriver:
         # progress events from it); called with the partial SearchResult
         # after every completed generation.
         self.on_generation = on_generation
-        # Optional event journal: one "search.generation" record per
-        # completed generation (fresh points, memo hits, budget spent),
-        # plus the run cache's events, correlated with whatever fields
-        # the caller bound (job_id).
-        self.journal = journal
 
     # -- evaluation ----------------------------------------------------------
 
@@ -225,23 +223,6 @@ class SearchDriver:
             seeds.append(seed)
         return tasks, seeds
 
-    def _execute(self, tasks: Sequence[SearchTask]) -> List[RunResult]:
-        """Run one generation's tasks (identical results in every mode).
-
-        With a ``run_cache``, cached repetitions are served directly and
-        only the misses are simulated.
-        """
-        from repro.injection.executor import run_simulations
-
-        return run_simulations(
-            tasks,
-            workers=self.config.workers,
-            batch_size=self.config.batch_size,
-            telemetry=self.telemetry,
-            cache=self.run_cache,
-            journal=self.journal,
-        )
-
     # -- the search loop -----------------------------------------------------
 
     def run(self) -> SearchResult:
@@ -253,6 +234,8 @@ class SearchDriver:
         budget) reproduces the uninterrupted trajectory and pays only
         for what the cache does not hold.
         """
+        from repro.resilience.supervisor import run_supervised_simulations
+
         config = self.config
         telemetry = self.telemetry
         search_start_ns = telemetry.now_ns() if telemetry is not None else 0
@@ -302,16 +285,16 @@ class SearchDriver:
             outputs: List[RunResult] = []
             paid = 0
             if tasks:
-                stats = self.run_cache.stats if self.run_cache is not None else None
-                paid_before = stats.misses + stats.bypasses if stats is not None else 0
-                outputs = self._execute(tasks)
-                # With a cache, misses and bypasses are the tasks that
-                # actually hit the simulator; hits cost nothing.
-                paid = (
-                    stats.misses + stats.bypasses - paid_before
-                    if stats is not None
-                    else len(tasks)
+                # One dispatch, identical in every mode; with a run cache
+                # it serves the hits and pays only for its fresh results.
+                outcome = run_supervised_simulations(
+                    tasks,
+                    workers=config.workers,
+                    batch_size=config.batch_size,
+                    telemetry=telemetry,
+                    cache=self.run_cache,
                 )
+                outputs, paid = outcome.completed_results, outcome.report.sims_paid
             result.simulations_run += paid
 
             # Account every fresh point as an evaluation, in proposal order.
@@ -366,11 +349,16 @@ class SearchDriver:
                 )
             )
             if telemetry is not None:
-                metrics = telemetry.metrics
-                metrics.counter("search.generations").inc()
-                metrics.counter("search.evaluations").inc(len(fresh))
-                metrics.counter("search.simulations").inc(paid)
-                metrics.counter("search.memo_hits").inc(sum(memo_hits))
+                telemetry.emit(
+                    "search.generation",
+                    generation=generation_index,
+                    fresh=len(fresh),
+                    memo_hits=sum(memo_hits),
+                    evaluations=len(result.evaluations),
+                    simulations=result.simulations_run,
+                    paid=paid,
+                    best_score=result.best.score if result.best is not None else None,
+                )
                 if telemetry.tracer is not None:
                     telemetry.tracer.add_complete(
                         "search.generation",
@@ -383,16 +371,6 @@ class SearchDriver:
                             "memo_hits": sum(memo_hits),
                         },
                     )
-            if self.journal is not None:
-                self.journal.emit(
-                    "search.generation",
-                    generation=generation_index,
-                    fresh=len(fresh),
-                    memo_hits=sum(memo_hits),
-                    evaluations=len(result.evaluations),
-                    simulations=result.simulations_run,
-                    best_score=result.best.score if result.best is not None else None,
-                )
             generation_index += 1
             if self.on_generation is not None:
                 self.on_generation(result)

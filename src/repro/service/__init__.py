@@ -9,8 +9,9 @@ loop into reusable infrastructure:
   changes invalidate cleanly);
 * :mod:`repro.service.cache` — the persistent :class:`RunCache`
   (sharded JSON/zlib blobs, atomic durable writes, integrity-verified
-  reads with corruption quarantine-and-recompute, LRU cap, telemetry
-  counters), consulted by the one task loop behind ``run_simulations``
+  reads with corruption quarantine-and-recompute, LRU cap, ``cache.*``
+  events in each dispatch's telemetry), consulted by the one task loop
+  behind ``run_simulations``
   (and so by ``Campaign.run``, the table/figure experiments and the
   search driver) before any simulation is paid for, and written as
   chunks complete — rerunning interrupted work on the same cache

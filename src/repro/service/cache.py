@@ -19,14 +19,12 @@ that entry.  An optional LRU cap bounds the cache by entry count,
 evicting the least-recently-*used* blobs (hits refresh an entry's
 mtime).
 
-Hit/miss/bypass/corruption traffic is published through
-``repro.telemetry`` counters (``cache.hits`` etc.) so a campaign's
-telemetry snapshot shows exactly how much simulation work the cache
-absorbed.  When a :class:`repro.obs.journal.EventJournal` is attached,
-the same traffic is journaled as ``cache.*`` events correlated by task
-fingerprint (bypasses journal the *reason* the fingerprint was
-unavailable, at warning level).  One table, :data:`_EVENTS`, says what
-each event kind touches, and one method records it in all three places.
+Every hit, miss, bypass, write, corruption quarantine and eviction is
+counted in :class:`CacheStats` and emitted as a ``cache.*`` event,
+correlated by task fingerprint (a bypass carries the *reason* the
+fingerprint was unavailable), through the telemetry handle of the
+dispatch that caused it (:meth:`RunCache.with_telemetry`): a campaign's
+telemetry shows exactly how much simulation work the cache absorbed.
 """
 
 import copy
@@ -35,7 +33,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import RunResult
 from repro.core.strategies import AttackStrategy
@@ -48,9 +46,6 @@ from repro.service.fingerprint import (
 )
 from repro.telemetry import Telemetry
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.obs.journal import BoundJournal, EventJournal
-
 #: Cache blob envelope version (bumped on incompatible changes).
 RUN_CACHE_VERSION = 1
 
@@ -58,19 +53,14 @@ RUN_CACHE_VERSION = 1
 SimulationTask = Tuple[SimulationConfig, Optional[AttackStrategy]]
 
 
-#: Every cache event, by journal kind: the :class:`CacheStats` field it
-#: bumps, the telemetry counters it increments, and its journal level.
-_EVENTS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
-    "cache.hit": ("hits", ("cache.hits",), "info"),
-    "cache.miss": ("misses", ("cache.misses",), "info"),
-    "cache.bypass": (
-        "bypasses",
-        ("cache.bypasses", "cache.bypass.fingerprint_unavailable"),
-        "warning",
-    ),
-    "cache.corruption": ("corruptions", ("cache.corruptions",), "warning"),
-    "cache.write": ("writes", ("cache.writes",), "info"),
-    "cache.evict": ("evictions", ("cache.evictions",), "info"),
+#: The :class:`CacheStats` field each cache event bumps.
+_STATS_FIELDS = {
+    "cache.hit": "hits",
+    "cache.miss": "misses",
+    "cache.bypass": "bypasses",
+    "cache.corruption": "corruptions",
+    "cache.write": "writes",
+    "cache.evict": "evictions",
 }
 
 
@@ -114,47 +104,34 @@ class RunCache:
         max_entries: Optional LRU cap — after a write pushes the entry
             count above this, least-recently-used blobs are evicted
             until back at the cap.
-        telemetry: Optional telemetry sink for ``cache.*`` counters.
         code_epoch: Cache-namespace token; defaults to the checkout's
             :func:`~repro.service.fingerprint.default_code_epoch`, so a
             kernel change (regenerated goldens) invalidates every entry.
-        journal: Optional event journal; when given, every hit, miss,
-            bypass, write, corruption quarantine and eviction emits a
-            ``cache.*`` event correlated by fingerprint.
     """
 
     def __init__(
         self,
         root: str,
         max_entries: Optional[int] = None,
-        telemetry: Optional[Telemetry] = None,
         code_epoch: Optional[str] = None,
-        journal: "Optional[EventJournal | BoundJournal]" = None,
     ):
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.root = root
         self.max_entries = max_entries
-        self.telemetry = telemetry
         self.code_epoch = code_epoch if code_epoch is not None else default_code_epoch()
-        self.journal = journal
         self.stats = CacheStats()
+        self.telemetry: Optional[Telemetry] = None
 
-    def with_journal(
-        self, journal: "Optional[EventJournal | BoundJournal]"
-    ) -> "RunCache":
-        """This cache with its events sent to ``journal`` (``None``: as is).
-
-        The view shares the store, the stats and the telemetry of this
-        handle; only the journal differs.  The task loop takes one per
-        dispatch, so a service chunk's or search job's bound journal
-        stamps its ids on the cache's events without rebinding the
-        handle that sibling threads share.
-        """
-        if journal is None:
+    def with_telemetry(self, telemetry: Optional[Telemetry]) -> "RunCache":
+        """This cache, sharing its store and stats, with its events
+        emitted through ``telemetry`` (``None``: as is).  The task loop
+        takes one per dispatch, leaving the handle sibling threads share
+        untouched."""
+        if telemetry is None:
             return self
         view = copy.copy(self)
-        view.journal = journal
+        view.telemetry = telemetry
         return view
 
     # -- keys ----------------------------------------------------------------
@@ -283,17 +260,12 @@ class RunCache:
             yield os.path.basename(path)[: -len(".json.z")]
 
     def _event(self, kind: str, **fields) -> None:
-        """Count one cache event in the stats and the telemetry counters,
-        and journal it (:data:`_EVENTS` holds what each kind touches)."""
-        field, counters, level = _EVENTS[kind]
+        """Count one cache event in the stats and emit it."""
+        field = _STATS_FIELDS[kind]
         stats = self.stats
         setattr(stats, field, getattr(stats, field) + 1)
         if self.telemetry is not None:
-            metrics = self.telemetry.metrics
-            for name in counters:
-                metrics.counter(name).inc()
-        if self.journal is not None:
-            self.journal.emit(kind, level=level, **fields)
+            self.telemetry.emit(kind, **fields)
 
 
 def partition_tasks(

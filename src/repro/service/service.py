@@ -20,8 +20,11 @@ the executor, streaming one progress event per completed generation via
 Every job streams :class:`~repro.service.jobs.JobEvent` records —
 ``queued``, ``started``, per-chunk/per-generation ``progress`` (with
 partial results accumulating on the :class:`~repro.service.jobs.Job`
-handle), then ``completed`` or ``failed``.  Results are bit-identical
-to direct uncached execution; the cache only changes what is *paid*.
+handle), then ``completed`` or ``failed`` — and emits each one, as a
+``job.*`` event, through the job's telemetry handle, which also carries
+the job's dispatches and thus their ``cache.*`` and ``supervisor.*``
+events.  Results are bit-identical to direct uncached execution; the
+cache only changes what is *paid*.
 """
 
 import asyncio
@@ -43,7 +46,7 @@ from repro.service.jobs import (
     SearchJobSpec,
     next_event_seq,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, TelemetryConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.obs.journal import EventJournal
@@ -66,12 +69,13 @@ class CampaignService:
             out internally per its spec).
         telemetry: Optional telemetry handle shared by all jobs
             (``service.*`` counters, plus whatever the back-end records).
-        journal: Optional :class:`~repro.obs.journal.EventJournal`; every
-            :class:`JobEvent` is mirrored into it as a ``job.*`` record,
-            chunk dispatches bind ``job_id``/``chunk_id`` correlation
-            fields into the cache's and the supervised back-end's events
-            (search jobs bind ``job_id``), and a reader
-            can rebuild every job's state after process death via
+        journal: Optional :class:`~repro.obs.journal.EventJournal`.  Each
+            job reports through a handle derived from the two (see
+            :meth:`_handle`): every :class:`JobEvent` is journaled as a
+            ``job.*`` record, chunk dispatches bind ``job_id``/``chunk_id``
+            onto the cache's and the supervised back-end's events (search
+            jobs bind ``job_id``), and a reader can rebuild every job's
+            state after process death via
             :func:`repro.obs.journal.replay_jobs`.
 
     Usage::
@@ -98,6 +102,9 @@ class CampaignService:
         self.concurrency = concurrency
         self.telemetry = telemetry
         self.journal = journal
+        # What each job counts into when only a journal is set: the
+        # service's own registry, with no stage probes.
+        self._own = Telemetry(TelemetryConfig(probe_stages=False))
         self._queue: Optional["asyncio.Queue[Optional[Job]]"] = None
         self._consumers: List["asyncio.Task"] = []
         self._jobs: List[Job] = []
@@ -136,7 +143,6 @@ class CampaignService:
         self._jobs.append(job)
         self._done[job.id] = asyncio.get_running_loop().create_future()
         self._emit(job, EVENT_QUEUED)
-        self._count("service.jobs_submitted")
         await self._queue.put(job)
         return job
 
@@ -176,12 +182,10 @@ class CampaignService:
                 job.status = JobStatus.FAILED
                 job.error = str(error)
                 self._emit(job, EVENT_FAILED, error=job.error)
-                self._count("service.jobs_failed")
             else:
                 job.status = JobStatus.COMPLETED
                 job.result = result
                 self._emit(job, EVENT_COMPLETED)
-                self._count("service.jobs_completed")
             finally:
                 self._done[job.id].set_result(None)
 
@@ -210,7 +214,6 @@ class CampaignService:
                 total=total,
                 chunk_runs=len(chunk_results),
             )
-            self._count("service.runs_served", len(chunk_results))
         return results
 
     def _run_chunk(
@@ -223,21 +226,17 @@ class CampaignService:
         """One blocking chunk dispatch (executor thread)."""
         from repro.injection.executor import run_simulations
 
-        journal = None
-        if self.journal is not None:
-            # Cache and supervised back-end events inherit the job/chunk
-            # identity, completing the job_id → chunk_id → fingerprint
-            # causal chain.
-            journal = self.journal.bind(job_id=job_id, chunk_id=chunk_id)
+        # Cache and supervised back-end events inherit the job/chunk
+        # identity, completing the job_id → chunk_id → fingerprint
+        # causal chain.
         return run_simulations(
             chunk,
             workers=spec.workers,
             batch_size=spec.batch_size,
             supervision=spec.supervision,
-            telemetry=self.telemetry,
+            telemetry=self._handle(job_id=job_id, chunk_id=chunk_id),
             cache=self.cache,
             recorder=spec.recorder,
-            journal=journal,
         )
 
     async def _run_search_job(self, job: Job):
@@ -260,36 +259,39 @@ class CampaignService:
                 },
             )
 
-        journal = None
-        if self.journal is not None:
-            journal = self.journal.bind(job_id=job.id)
         driver = SearchDriver(
             spec.space,
             spec.objective,
             spec.optimizer_factory,
             config=spec.config,
-            telemetry=self.telemetry,
+            telemetry=self._handle(job_id=job.id),
             run_cache=self.cache,
             on_generation=on_generation,
-            journal=journal,
         )
         return await loop.run_in_executor(None, driver.run)
 
     # -- internals -----------------------------------------------------------
 
+    def _handle(self, **correlation) -> Optional[Telemetry]:
+        """The handle a job reports through: ``telemetry`` (read at call
+        time, so a handle assigned between jobs takes effect; the
+        service's own without one) with the ``journal`` attached and
+        ``correlation`` bound."""
+        telemetry, journal = self.telemetry, self.journal
+        if journal is not None:
+            base = self._own if telemetry is None else telemetry
+            telemetry = Telemetry(base.config, base.metrics, base.tracer, journal)
+        return None if telemetry is None else telemetry.bind(**correlation)
+
     def _emit(self, job: Job, kind: str, payload: Optional[dict] = None, **extra) -> None:
+        """Stream one :class:`JobEvent` and emit it as ``job.<kind>``."""
         data = dict(payload or {})
         data.update(extra)
         job.events.put_nowait(
             JobEvent(job_id=job.id, kind=kind, seq=next_event_seq(), payload=data)
         )
-        if self.journal is not None:
-            fields = dict(data)
+        telemetry = self._handle(job_id=job.id)
+        if telemetry is not None:
             if kind == EVENT_QUEUED:
-                fields["total"] = job.total_runs
-            level = "error" if kind == EVENT_FAILED else "info"
-            self.journal.emit(f"job.{kind}", level=level, job_id=job.id, **fields)
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(name).inc(amount)
+                data = dict(data, total=job.total_runs)
+            telemetry.emit(f"job.{kind}", **data)

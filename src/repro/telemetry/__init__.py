@@ -1,11 +1,12 @@
 """repro.telemetry — opt-in metrics, tracing and profiling.
 
 Zero-dependency observability layer threaded through the kernel,
-executors, resilience and search layers.  Everything is opt-in: without
-a :class:`Telemetry` object the execution paths are untouched (no
-wrapping, a handful of ``is None`` checks), and with one enabled the
-probes only read clocks and write into their own registries — results
-stay bit-identical (pinned by the golden-run suite).
+executors, resilience, service and search layers, and the one sink of
+their events (:meth:`Telemetry.emit`, :data:`EVENTS`).  Everything is
+opt-in: without a :class:`Telemetry` object the execution paths are
+untouched (no wrapping, a handful of ``is None`` checks), and with one
+enabled the probes only read clocks and write into their own registries
+— results stay bit-identical (pinned by the golden-run suite).
 
 Quick start::
 
@@ -18,7 +19,7 @@ Quick start::
     telemetry.write_trace_jsonl("trace.jsonl")   # load in ui.perfetto.dev
 """
 
-from repro.telemetry.collector import Telemetry, TelemetryConfig
+from repro.telemetry.collector import EVENTS, Telemetry, TelemetryConfig
 from repro.telemetry.export import (
     PROMETHEUS_NAMESPACE,
     prometheus_name,
@@ -41,6 +42,7 @@ from repro.telemetry.probe import STAGE_METRIC, ProbedPipeline
 from repro.telemetry.tracing import DEFAULT_CAPACITY, Span, SpanHandle, Tracer
 
 __all__ = [
+    "EVENTS",
     "Telemetry",
     "TelemetryConfig",
     "MetricsRegistry",

@@ -1,9 +1,21 @@
 """The user-facing telemetry handle threaded through the execution paths.
 
 A :class:`Telemetry` object bundles one :class:`MetricsRegistry`, an
-optional :class:`Tracer`, and the :class:`TelemetryConfig` knobs, and is
-what ``Campaign.run(telemetry=...)``, ``run_simulation``,
-``SearchDriver``, the batch runner and the task loop accept.
+optional :class:`Tracer`, an optional event journal and the
+:class:`TelemetryConfig` knobs, and is what ``Campaign.run(telemetry=...)``,
+``run_simulation``, ``SearchDriver``, the campaign service, the batch
+runner and the task loop accept.
+
+Events
+------
+
+Every event the platform reports — the service's ``job.*``, the run
+cache's ``cache.*``, the task loop's ``supervisor.*`` and the search
+driver's ``search.generation`` — is one :meth:`Telemetry.emit` call.
+:data:`EVENTS` says what each kind leaves behind: the counters it bumps,
+the level of its one journal line (written when the handle carries a
+journal), and whether it marks the trace.  :meth:`Telemetry.bind` stamps
+correlation fields (``job_id``, ``chunk_id``) on a handle's journal lines.
 
 Aggregation model
 -----------------
@@ -16,12 +28,13 @@ workers alike, each scalar run timed by a
 by its own column timing.  A chunk returns its
 snapshot with its results; the parent merges the snapshots of the
 attempts it *accepts* **in chunk order**, so a retried chunk counts
-once and the deterministic view (outside ``perf.*`` and the loop's
-``supervisor.*`` report counters, merged last) is identical whatever
-the worker count, batch width, chunking, completion order or recovery
-the supervisor performed (pinned by the cross-mode tests).  In-process chunks record spans into
-the parent's tracer; pool workers trace nothing (their clocks are not
-aligned with the parent's timebase).
+once and the deterministic view (outside ``perf.*`` and the loop's own
+``supervisor.*`` counters) is identical whatever the worker count, batch
+width, chunking, completion order or recovery the supervisor performed
+(pinned by the cross-mode tests).  Events are emitted in the parent
+only.  In-process chunks record spans into the parent's tracer; pool
+workers trace nothing (their clocks are not aligned with the parent's
+timebase).
 
 The config is a small frozen dataclass so it pickles cheaply to workers;
 the registry pickles as its snapshot.
@@ -29,7 +42,7 @@ the registry pickles as its snapshot.
 
 from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from repro.telemetry.export import (
     prometheus_text,
@@ -46,6 +59,42 @@ from repro.telemetry.tracing import DEFAULT_CAPACITY, SpanHandle, Tracer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.metrics import RunResult
     from repro.kernel.pipeline import StepPipeline
+    from repro.obs.journal import EventJournal
+
+
+#: The platform's event vocabulary: every kind :meth:`Telemetry.emit`
+#: takes, as ``(journal level, counters, trace marker)``.  Each counter
+#: is bumped by 1 (``None``) or by the named field of the event (skipped
+#: when the event lacks it).  No other module names these counters.
+EVENTS: Dict[str, Tuple[str, Dict[str, Optional[str]], bool]] = {
+    # The campaign service's JobEvent stream.
+    "job.queued": ("info", {"service.jobs_submitted": None}, False),
+    "job.started": ("info", {}, False),
+    "job.progress": ("info", {"service.runs_served": "chunk_runs"}, False),
+    "job.completed": ("info", {"service.jobs_completed": None}, False),
+    "job.failed": ("error", {"service.jobs_failed": None}, False),
+    # Run-cache traffic, correlated by task fingerprint.
+    "cache.hit": ("info", {"cache.hits": None}, False),
+    "cache.miss": ("info", {"cache.misses": None}, False),
+    "cache.bypass": (
+        "warning", {"cache.bypasses": None, "cache.bypass.fingerprint_unavailable": None}, False
+    ),
+    "cache.corruption": ("warning", {"cache.corruptions": None}, False),
+    "cache.write": ("info", {"cache.writes": None}, False),
+    "cache.evict": ("info", {"cache.evictions": None}, False),
+    # The task loop's recovery trail.
+    "supervisor.retry": ("info", {"supervisor.retries": None}, True),
+    "supervisor.bisect": ("info", {"supervisor.bisections": None}, True),
+    "supervisor.quarantine": ("warning", {"supervisor.quarantined": None}, True),
+    "supervisor.timeout": ("warning", {"supervisor.timeouts": None}, False),
+    "supervisor.respawn": ("warning", {"supervisor.pool_respawns": None}, False),
+    "supervisor.degraded": ("warning", {"supervisor.degraded_to_sequential": None}, False),
+    # One finished search generation.
+    "search.generation": ("info", {
+        "search.generations": None, "search.evaluations": "fresh",
+        "search.simulations": "paid", "search.memo_hits": "memo_hits",
+    }, False),
+}
 
 
 class _NullSpan:
@@ -93,19 +142,57 @@ class TelemetryConfig:
 
 
 class Telemetry:
-    """One observation context: metrics + optional tracer + config."""
+    """One observation context: metrics, an optional tracer, an optional
+    event journal (parent-side only, never shipped to workers) and config."""
 
     def __init__(
         self,
         config: Optional[TelemetryConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
+        journal: Optional["EventJournal"] = None,
     ):
         self.config = config or TelemetryConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if tracer is None and self.config.trace:
             tracer = Tracer(self.config.trace_capacity)
         self.tracer = tracer
+        self.journal = journal
+        self._fields: Dict[str, Any] = {}
+
+    # -- events ------------------------------------------------------------
+
+    def emit(self, kind: str, **fields: Any) -> None:
+        """Report one event of :data:`EVENTS`: bump its counters, write its
+        journal line (bound fields first, ``fields`` win), and mark the
+        trace when its row asks for it and tracing is on."""
+        level, counters, marked = EVENTS[kind]
+        metrics = self.metrics
+        for name, field in counters.items():
+            amount = 1 if field is None else fields.get(field)
+            if amount is not None:
+                metrics.counter(name).inc(amount)
+        if self._fields:
+            fields = {**self._fields, **fields}
+        if self.journal is not None:
+            self.journal.emit(kind, level=level, **fields)
+        if marked and self.tracer is not None:
+            self.tracer.instant(kind, **fields)
+
+    def declare(self, *kinds: str) -> None:
+        """Create the counters of ``kinds`` at zero, so an export lists
+        them before their first event."""
+        for kind in kinds:
+            for name in EVENTS[kind][1]:
+                self.metrics.counter(name)
+
+    def bind(self, **fields: Any) -> "Telemetry":
+        """A view of this handle that stamps ``fields`` (``None`` dropped)
+        on every event it emits; it shares the registry, the tracer and
+        the journal, and binds compose."""
+        view = Telemetry(self.config, self.metrics, self.tracer, self.journal)
+        view._fields = {**self._fields, **{k: v for k, v in fields.items() if v is not None}}
+        return view
 
     # -- recording ---------------------------------------------------------
 

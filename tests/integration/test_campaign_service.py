@@ -147,9 +147,7 @@ class TestCachedJobs:
         telemetry = Telemetry(TelemetryConfig())
 
         async def scenario():
-            cache = RunCache(
-                str(tmp_path / "cache"), telemetry=telemetry, code_epoch=EPOCH
-            )
+            cache = RunCache(str(tmp_path / "cache"), code_epoch=EPOCH)
             service = CampaignService(cache=cache, telemetry=telemetry)
             await service.start()
             cold = await service.submit(CampaignJobSpec(config=_grid()))

@@ -1,6 +1,7 @@
 """Integration tests: the event journal across service, supervisor and cache.
 
-The journal is the service's black box: every ``JobEvent`` is mirrored
+The journal is the service's black box, attached to the telemetry handle
+every emitter reports through: every ``JobEvent`` is mirrored
 as a ``job.*`` record, chunk dispatches bind the ``job_id → chunk_id``
 correlation chain into the supervised back-end, cache traffic lands as
 fingerprint-correlated ``cache.*`` records (bypasses carry the *reason*
@@ -22,6 +23,7 @@ from repro.obs.query import job_summaries
 from repro.resilience.chaos import ChaosPolicy, FaultSpec
 from repro.resilience.supervisor import SupervisionPolicy, run_supervised_simulations
 from repro.service import CampaignJobSpec, CampaignService, RunCache
+from repro.telemetry import Telemetry
 
 EPOCH = "obs-journal-test"
 
@@ -135,10 +137,11 @@ class TestCacheJournal:
     def test_cache_traffic_is_fingerprint_correlated(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         journal = EventJournal(path)
-        cache = RunCache(str(tmp_path / "cache"), code_epoch=EPOCH, journal=journal)
+        cache = RunCache(str(tmp_path / "cache"), code_epoch=EPOCH)
+        telemetry = Telemetry(journal=journal)
         grid = _grid(repetitions=2)
-        Campaign(grid).run(cache=cache)  # cold: misses + writes
-        Campaign(grid).run(cache=cache)  # warm: hits
+        Campaign(grid).run(cache=cache, telemetry=telemetry)  # cold: misses + writes
+        Campaign(grid).run(cache=cache, telemetry=telemetry)  # warm: hits
         journal.close()
 
         records = read_journal(path)
@@ -150,7 +153,8 @@ class TestCacheJournal:
     def test_fingerprint_bypass_journals_the_reason_at_warning(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         journal = EventJournal(path)
-        cache = RunCache(str(tmp_path / "cache"), code_epoch=EPOCH, journal=journal)
+        cache = RunCache(str(tmp_path / "cache"), code_epoch=EPOCH)
+        cache = cache.with_telemetry(Telemetry(journal=journal))
 
         from repro.core.strategies import RandomStartStrategy
         from repro.injection.engine import SimulationConfig
@@ -178,13 +182,14 @@ class TestCacheJournal:
 
         path = str(tmp_path / "journal.jsonl")
         journal = EventJournal(path)
-        cache = RunCache(str(tmp_path / "cache"), code_epoch=EPOCH, journal=journal)
+        cache = RunCache(str(tmp_path / "cache"), code_epoch=EPOCH)
+        telemetry = Telemetry(journal=journal)
         grid = _grid(repetitions=1)
-        Campaign(grid).run(cache=cache)
+        Campaign(grid).run(cache=cache, telemetry=telemetry)
         (blob,) = glob.glob(os.path.join(str(tmp_path / "cache"), "*", "*", "*.json.z"))
         with open(blob, "wb") as handle:
             handle.write(b"rotten")
-        Campaign(grid).run(cache=cache)
+        Campaign(grid).run(cache=cache, telemetry=telemetry)
         journal.close()
 
         corruptions = [
@@ -265,7 +270,7 @@ class TestSupervisorJournal:
             workers=2,
             chunk_size=2,
             chaos=chaos,
-            journal=journal.bind(job_id=5, chunk_id=0),
+            telemetry=Telemetry(journal=journal).bind(job_id=5, chunk_id=0),
         )
         journal.close()
 
@@ -281,6 +286,7 @@ class TestSupervisorJournal:
         tasks = Campaign(_grid(repetitions=4, max_steps=100)).tasks
 
         journal = EventJournal(path)
+        telemetry = Telemetry(journal=journal)
 
         class Interrupted(Exception):
             pass
@@ -296,7 +302,7 @@ class TestSupervisorJournal:
                 chunk_size=2,
                 cache=RunCache(str(tmp_path / "cache"), code_epoch=EPOCH),
                 progress=interrupt_after_two,
-                journal=journal,
+                telemetry=telemetry,
             )
         except Interrupted:
             pass
@@ -305,7 +311,7 @@ class TestSupervisorJournal:
             workers=1,
             chunk_size=2,
             cache=RunCache(str(tmp_path / "cache"), code_epoch=EPOCH),
-            journal=journal,
+            telemetry=telemetry,
         )
         journal.close()
 

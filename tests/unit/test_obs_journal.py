@@ -65,11 +65,13 @@ class TestEmit:
 
 class TestBind:
     def test_bound_fields_stamp_every_event_and_compose(self, tmp_path):
+        from repro.telemetry import Telemetry
+
         path = str(tmp_path / "journal.jsonl")
         with EventJournal(path) as journal:
-            chunk = journal.bind(job_id=3).bind(chunk_id=1)
-            chunk.emit("test.event")
-            chunk.emit("test.event", chunk_id=9)  # explicit field wins
+            chunk = Telemetry(journal=journal).bind(job_id=3).bind(chunk_id=1)
+            chunk.emit("cache.hit", fingerprint="a")
+            chunk.emit("cache.hit", fingerprint="b", chunk_id=9)  # explicit field wins
         first, second = read_journal(path)
         assert first["job_id"] == 3 and first["chunk_id"] == 1
         assert second["job_id"] == 3 and second["chunk_id"] == 9
@@ -276,6 +278,38 @@ class TestViews:
         assert len(lines) == 2
         assert "job.queued" in lines[0] and "!" not in lines[0]
         assert "supervisor.quarantine" in lines[1] and "!" in lines[1]
+
+    def test_job_summaries_fold_lifecycle_and_correlated_only_jobs(self):
+        """Lifecycle, correlated counts, a job seen only in correlated
+        events and non-integer ids, line for line."""
+        records = [
+            {"kind": "supervisor.retry", "job_id": 7, "attempt": 1},
+            {"kind": "supervisor.quarantine", "job_id": 7, "fingerprint": "abcdefabcdefabcdef"},
+            {"kind": "supervisor.quarantine", "job_id": 7},
+            {"kind": "job.queued", "job_id": 2},
+            {"kind": "job.started", "job_id": 2},
+            {"kind": "job.progress", "job_id": 2, "completed": 3},
+            {"kind": "job.progress", "job_id": 2, "completed": 5, "total": 9},
+            {"kind": "cache.hit", "job_id": 2, "fingerprint": "x"},
+            {"kind": "cache.miss", "job_id": "2"},
+            {"kind": "job.failed", "job_id": 2, "error": "boom"},
+            {"kind": "job.queued", "job_id": 1, "total": 4},
+            {"kind": "job.custom", "job_id": 1},
+            {"kind": "job.completed", "job_id": 1},
+            {"kind": "search.generation", "job_id": 1},
+            {"kind": "cache.bypass", "job_id": 3},
+            {"kind": "supervisor.timeout", "job_id": 3},
+            {"kind": "supervisor.respawn", "job_id": 3},
+            {"kind": "supervisor.bisect", "job_id": 3},
+            {"job_id": 4},
+        ]
+        assert job_summaries(records) == [
+            "job 1: completed; 4/4 runs; 1 generations",
+            "job 2: failed; 5/9 runs; 2 chunks; 1 cache hits; error: boom",
+            "job 3: queued; 1 timeouts; 1 respawns; 1 bisections; 1 cache bypasses",
+            "job 4: queued",
+            "job 7: queued; 1 retries; 2 quarantined; quarantined fingerprints: abcdefabcdef",
+        ]
 
     def test_job_summaries_list_every_quarantined_fingerprint(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")

@@ -70,7 +70,7 @@ class TestHitMiss:
 
     def test_telemetry_counters_track_traffic(self, tmp_path):
         telemetry = Telemetry(TelemetryConfig())
-        cache = RunCache(str(tmp_path), telemetry=telemetry, code_epoch=EPOCH)
+        cache = RunCache(str(tmp_path), code_epoch=EPOCH).with_telemetry(telemetry)
         config, strategy = _task()
         key = cache.fingerprint(config, strategy)
         cache.get(key)
@@ -103,10 +103,8 @@ class TestEventAccounting:
             pass
 
         journal = Journal()
-        telemetry = Telemetry(TelemetryConfig())
-        cache = RunCache(
-            str(tmp_path), max_entries=1, telemetry=telemetry, code_epoch=EPOCH, journal=journal
-        )
+        telemetry = Telemetry(TelemetryConfig(), journal=journal)
+        cache = RunCache(str(tmp_path), max_entries=1, code_epoch=EPOCH).with_telemetry(telemetry)
         config, strategy = _task()
         assert cache.fingerprint(config, Custom()) is None  # bypass
         key = cache.fingerprint(config, strategy)
